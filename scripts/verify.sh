@@ -3,12 +3,14 @@
 # that replays the paper-figure benches and diffs their simulated
 # outputs against the golden transcripts in bench/golden/, a trace
 # pass (fig10 with BISCUIT_TRACE: golden must still match, the JSON
-# must load, two runs must be byte-identical), a multi-drive pass
-# (fig10 at BISCUIT_DRIVES=4 against its own golden — same rows and
-# planner decisions, scale-out timing), a serve pass (fig_serve vs its
-# golden, two-run byte-identity, lane/drive env invariance), a prune
-# pass (fig_prune vs its golden — statistics-driven scans must return
-# the baseline's rows byte-identically while reading fewer pages), a
+# must load, two runs must be byte-identical), an oracle pass (the
+# TPC-H suite's result rows against perfbench/reference.json), a
+# multi-drive pass (fig10 at BISCUIT_DRIVES=4 against its own
+# golden — same rows and planner decisions, scale-out timing), a
+# serve pass (fig_serve vs its golden, two-run byte-identity,
+# lane/drive env invariance), a prune pass (fig_prune vs its
+# golden — statistics-driven scans must return the baseline's rows
+# byte-identically while reading fewer pages), a
 # placement pass (fig_place vs its golden — the cost-model placement
 # must beat both static plans with byte-identical rows), a pipeline
 # pass (fig_pipeline vs its golden — the searched multi-stage plan
@@ -56,6 +58,22 @@ if [[ "$run_perf_smoke" == 1 ]]; then
     cmp build/bench_out/verify_trace_a.json \
         build/bench_out/verify_trace_b.json
     echo "trace: golden match, JSON valid, two runs byte-identical"
+
+    echo
+    echo "=== oracle pass: fig10 rows vs perfbench/reference.json ==="
+    # The fig10 golden prints speed-ups and planner notes but no rows.
+    # perfbench's tpch_suite digests every query's result rows and
+    # ticks and checks them against its committed reference.
+    oracle=$(python3 perfbench/run.py --workload tpch_suite --seconds 1 \
+        | tail -n 1)
+    python3 - "$oracle" <<'PY'
+import json, sys
+r = json.loads(sys.argv[1])
+if r["correct"] is not True or r["failed"] != 0:
+    sys.exit("oracle: tpch_suite disagrees with perfbench/reference.json: "
+             f"correct={r['correct']} failed={r['failed']}")
+print(f"oracle: {r['attempted']} query runs match the reference digests")
+PY
 
     echo
     echo "=== multi-drive pass: fig10 with BISCUIT_DRIVES=4 ==="

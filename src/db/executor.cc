@@ -1,14 +1,12 @@
 #include "db/executor.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <map>
+#include <numeric>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "db/planner.h"
 #include "db/session.h"
@@ -58,62 +56,6 @@ class OpTimer
     const char *name_;
     Tick begin_;
 };
-
-/**
- * valueToString() of one column taken straight from a packed row
- * slot, without materializing the Row (join hash keys).
- */
-std::string
-slotKeyString(const std::uint8_t *slot, const Schema &s, int column)
-{
-    const Column &c = s.at(static_cast<std::size_t>(column));
-    const std::uint8_t *src =
-        slot + s.offsetOf(static_cast<std::size_t>(column));
-    switch (c.type) {
-      case Type::Int64: {
-        std::int64_t v;
-        std::memcpy(&v, src, 8);
-        return std::to_string(v);
-      }
-      case Type::Double: {
-        double v;
-        std::memcpy(&v, src, 8);
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.2f", v);
-        return buf;
-      }
-      case Type::String:
-      case Type::Date:
-        break;
-    }
-    Bytes n = 0;
-    while (n < c.width && src[n] != 0)
-        ++n;
-    return std::string(reinterpret_cast<const char *>(src), n);
-}
-
-/**
- * Append valueToString(@p v) to @p key without a temporary string
- * (group-by key building). Formatting must stay byte-identical to
- * valueToString() — group identity and output order depend on it.
- */
-void
-appendValueKey(std::string &key, const Value &v)
-{
-    if (const auto *i = std::get_if<std::int64_t>(&v)) {
-        char buf[24];
-        auto res = std::to_chars(buf, buf + sizeof(buf), *i);
-        key.append(buf, res.ptr);
-        return;
-    }
-    if (const auto *d = std::get_if<double>(&v)) {
-        char buf[32];
-        int n = std::snprintf(buf, sizeof(buf), "%.2f", *d);
-        key.append(buf, static_cast<std::size_t>(n));
-        return;
-    }
-    key += std::get<std::string>(v);
-}
 
 /**
  * The generic scan/filter SSDlet of the "minidb" module: streams its
@@ -565,25 +507,35 @@ loadPipeModules(MiniDb &db)
 }
 
 /**
- * Matching rows of one page, tagged with the page's global index so a
- * multi-shard fan-out can restore global row order with a single sort
- * — making query results invariant in the drive count.
+ * Matching rows of one shard, decoded into one batch, with the
+ * (global page, row range) runs that let a multi-shard fan-out
+ * restore global row order — making query results invariant in the
+ * drive count.
  */
-struct PageRows
+struct ShardRows
 {
-    std::uint64_t page = 0;
-    std::vector<Row> rows;
+    struct Run
+    {
+        std::uint64_t page = 0;
+        std::size_t first = 0;
+        std::size_t count = 0;
+    };
+    RowBatch rows;
+    std::vector<Run> runs;
 };
 
-/** Decode @p pred-matching rows of one raw page into @p out. */
-void
+/**
+ * Decode @p pred-matching rows of one raw page into @p out. Returns
+ * whether any row matched.
+ */
+bool
 collectMatches(Table &table, const ExprPtr &pred,
                const std::uint8_t *data, Bytes len,
-               std::uint64_t page_idx, std::vector<Row> &out,
-               DbStats &stats)
+               std::uint64_t page_idx, ShardRows &out, DbStats &stats)
 {
     const Schema &schema = table.schema();
     const Bytes row_width = schema.rowWidth();
+    const std::size_t first = out.rows.size();
     std::uint64_t in_page = table.rowsInPage(page_idx);
     for (std::uint64_t i = 0; i < in_page; ++i) {
         Bytes slot_off = i * row_width;
@@ -592,30 +544,53 @@ collectMatches(Table &table, const ExprPtr &pred,
         const std::uint8_t *slot = data + slot_off;
         ++stats.rows_examined;
         if (!pred || evalPredRaw(*pred, slot, schema))
-            out.push_back(schema.decodeRow(slot));
+            out.rows.appendSlot(schema, slot);
     }
+    if (out.rows.size() == first)
+        return false;
+    out.runs.push_back({page_idx, first, out.rows.size() - first});
+    return true;
+}
+
+/** Per-shard fragments of a scan over @p table, all empty. */
+std::vector<ShardRows>
+shardRows(const Table &table)
+{
+    std::vector<ShardRows> per_shard(table.shardCount());
+    for (ShardRows &sr : per_shard)
+        sr.rows = RowBatch::forSchema(table.schema());
+    return per_shard;
 }
 
 /**
- * Merge per-shard (page, rows) fragments into global page order and
- * append the rows to @p out. Page indices are unique, so the sort is
- * a total order.
+ * Merge per-shard fragments into global page order. Page indices are
+ * unique, so the order is total.
  */
-void
-mergePageRows(std::vector<std::vector<PageRows>> per_shard,
-              std::vector<Row> &out)
+RowBatch
+mergeShardRows(std::vector<ShardRows> per_shard)
 {
-    std::vector<PageRows> all;
-    for (auto &shard : per_shard)
-        for (auto &pr : shard)
-            all.push_back(std::move(pr));
-    std::sort(all.begin(), all.end(),
-              [](const PageRows &a, const PageRows &b) {
-                  return a.page < b.page;
-              });
-    for (auto &pr : all)
-        for (auto &row : pr.rows)
-            out.push_back(std::move(row));
+    struct Ref
+    {
+        std::uint64_t page;
+        const ShardRows *shard;
+        const ShardRows::Run *run;
+    };
+    std::vector<Ref> all;
+    for (const ShardRows &sr : per_shard) {
+        for (const auto &run : sr.runs)
+            all.push_back({run.page, &sr, &run});
+    }
+    std::sort(all.begin(), all.end(), [](const Ref &a, const Ref &b) {
+        return a.page < b.page;
+    });
+    RowBatch out(per_shard.at(0).rows.columns());
+    for (const ShardRows &sr : per_shard)
+        out.share(sr.rows);
+    for (const Ref &ref : all) {
+        for (std::size_t r = 0; r < ref.run->count; ++r)
+            out.appendFrom(ref.shard->rows, ref.run->first + r);
+    }
+    return out;
 }
 
 /**
@@ -694,7 +669,6 @@ convScan(MiniDb &db, Table &table, const ExprPtr &pred,
     ScanOutcome out;
     auto &host = db.host();
     const Bytes page_size = table.pageSize();
-    const std::uint32_t nshards = table.shardCount();
     const ScanPrune sp = scanPrune(db, table, pred);
 
     // One streaming pass per shard (drives stream concurrently); the
@@ -703,7 +677,7 @@ convScan(MiniDb &db, Table &table, const ExprPtr &pred,
     // stream per surviving page run instead — the window callback is
     // oblivious, since stream offsets are absolute file offsets.
     std::uint64_t matched_pages = 0;
-    std::vector<std::vector<PageRows>> per_shard(nshards);
+    std::vector<ShardRows> per_shard = shardRows(table);
     auto onWindow = [&](std::uint32_t s, Bytes off,
                         const std::uint8_t *data, Bytes len) {
         host.consumeCpuPerByte(len,
@@ -712,16 +686,10 @@ convScan(MiniDb &db, Table &table, const ExprPtr &pred,
             std::uint64_t page_idx =
                 table.globalPage(s, (off + p) / page_size);
             Bytes n = std::min(page_size, len - p);
-            // Filter on the packed slots; materialize a Row
-            // only for matches.
-            PageRows pr;
-            pr.page = page_idx;
-            collectMatches(table, pred, data + p, n, page_idx,
-                           pr.rows, stats);
-            if (!pr.rows.empty()) {
+            // Filter on the packed slots; decode only matches.
+            if (collectMatches(table, pred, data + p, n, page_idx,
+                               per_shard[s], stats))
                 ++matched_pages;
-                per_shard[s].push_back(std::move(pr));
-            }
         }
     };
     forEachShard(db, table, "db.convscan", [&](std::uint32_t s) {
@@ -742,7 +710,7 @@ convScan(MiniDb &db, Table &table, const ExprPtr &pred,
                        Bytes len) { onWindow(s, off, data, len); });
         }
     });
-    mergePageRows(std::move(per_shard), out.rows);
+    out.batch = mergeShardRows(std::move(per_shard));
     if (sp.plan.usable)
         notePrune(db, stats, sp.plan);
     stats.pages_to_host +=
@@ -779,7 +747,7 @@ ndpScan(MiniDb &db, Table &table, const ExprPtr &pred,
     // channel matchers while the host drains each drive on a
     // dedicated fiber. The merge restores global page order.
     std::uint64_t shipped_pages = 0;
-    std::vector<std::vector<PageRows>> per_shard(table.shardCount());
+    std::vector<ShardRows> per_shard = shardRows(table);
     forEachShard(db, table, "db.ndpscan", [&](std::uint32_t s) {
         sisc::SSD ssd(db.env().array.drive(s).runtime);
         sisc::Application app(ssd);
@@ -826,19 +794,15 @@ ndpScan(MiniDb &db, Table &table, const ExprPtr &pred,
                 // straight off the packed slots.
                 host.consumeCpuPerByte(
                     len, host.config().db_scan_ns_per_byte);
-                PageRows pr;
-                pr.page = page_idx;
                 collectMatches(table, pred, data.data(), len,
-                               page_idx, pr.rows, stats);
-                if (!pr.rows.empty())
-                    per_shard[s].push_back(std::move(pr));
+                               page_idx, per_shard[s], stats);
                 ++stats.pages_to_host;
                 ++shipped_pages;
             }
         }
         app.wait();
     });
-    mergePageRows(std::move(per_shard), out.rows);
+    out.batch = mergeShardRows(std::move(per_shard));
     if (sp.plan.usable)
         notePrune(db, stats, sp.plan);
     stats.pages_scanned_device +=
@@ -885,7 +849,7 @@ placedScan(MiniDb &db, Table &table, const ExprPtr &pred,
     // placement-independently and fed back to the placer.
     std::uint64_t crossed_pages = 0;
     std::uint64_t matched_pages = 0;
-    std::vector<std::vector<PageRows>> per_shard(table.shardCount());
+    std::vector<ShardRows> per_shard = shardRows(table);
 
     auto hostShard = [&](std::uint32_t s) {
         auto onWindow = [&](Bytes off, const std::uint8_t *data,
@@ -896,14 +860,9 @@ placedScan(MiniDb &db, Table &table, const ExprPtr &pred,
                 std::uint64_t page_idx =
                     table.globalPage(s, (off + p) / page_size);
                 Bytes n = std::min(page_size, len - p);
-                PageRows pr;
-                pr.page = page_idx;
-                collectMatches(table, pred, data + p, n, page_idx,
-                               pr.rows, stats);
-                if (!pr.rows.empty()) {
+                if (collectMatches(table, pred, data + p, n, page_idx,
+                                   per_shard[s], stats))
                     ++matched_pages;
-                    per_shard[s].push_back(std::move(pr));
-                }
             }
         };
         if (!sp.pruned) {
@@ -975,14 +934,9 @@ placedScan(MiniDb &db, Table &table, const ExprPtr &pred,
                     table.globalPage(s, local_page);
                 host.consumeCpuPerByte(
                     len, host.config().db_scan_ns_per_byte);
-                PageRows pr;
-                pr.page = page_idx;
-                collectMatches(table, pred, data.data(), len,
-                               page_idx, pr.rows, stats);
-                if (!pr.rows.empty()) {
+                if (collectMatches(table, pred, data.data(), len,
+                                   page_idx, per_shard[s], stats))
                     ++matched_pages;
-                    per_shard[s].push_back(std::move(pr));
-                }
                 ++stats.pages_to_host;
                 ++crossed_pages;
             }
@@ -996,7 +950,7 @@ placedScan(MiniDb &db, Table &table, const ExprPtr &pred,
         else
             hostShard(s);
     });
-    mergePageRows(std::move(per_shard), out.rows);
+    out.batch = mergeShardRows(std::move(per_shard));
     if (sp.plan.usable)
         notePrune(db, stats, sp.plan);
     if (any_device)
@@ -1127,7 +1081,7 @@ pipelinedScan(MiniDb &db, Table &table, const ExprPtr &pred,
 
     std::uint64_t crossed_pages = 0;
     std::uint64_t matched_pages = 0;
-    std::vector<std::vector<PageRows>> per_shard(nshards);
+    std::vector<ShardRows> per_shard = shardRows(table);
 
     auto hostShard = [&](std::uint32_t s) {
         auto onWindow = [&](Bytes off, const std::uint8_t *data,
@@ -1138,14 +1092,9 @@ pipelinedScan(MiniDb &db, Table &table, const ExprPtr &pred,
                 std::uint64_t page_idx =
                     table.globalPage(s, (off + p) / page_size);
                 Bytes n = std::min(page_size, len - p);
-                PageRows pr;
-                pr.page = page_idx;
-                collectMatches(table, pred, data + p, n, page_idx,
-                               pr.rows, stats);
-                if (!pr.rows.empty()) {
+                if (collectMatches(table, pred, data + p, n, page_idx,
+                                   per_shard[s], stats))
                     ++matched_pages;
-                    per_shard[s].push_back(std::move(pr));
-                }
             }
         };
         if (!sp.pruned) {
@@ -1220,14 +1169,9 @@ pipelinedScan(MiniDb &db, Table &table, const ExprPtr &pred,
                     table.globalPage(s, local_page);
                 host.consumeCpuPerByte(
                     len, host.config().db_scan_ns_per_byte);
-                PageRows pr;
-                pr.page = page_idx;
-                collectMatches(table, pred, data.data(), len,
-                               page_idx, pr.rows, stats);
-                if (!pr.rows.empty()) {
+                if (collectMatches(table, pred, data.data(), len,
+                                   page_idx, per_shard[s], stats))
                     ++matched_pages;
-                    per_shard[s].push_back(std::move(pr));
-                }
                 ++stats.pages_to_host;
                 ++crossed_pages;
             }
@@ -1276,16 +1220,15 @@ pipelinedScan(MiniDb &db, Table &table, const ExprPtr &pred,
                 host.consumeCpuPerByte(
                     static_cast<Bytes>(n_rows) * row_width,
                     host.config().db_scan_ns_per_byte);
-                PageRows pr;
-                pr.page = page_idx;
-                pr.rows.reserve(n_rows);
+                ShardRows &sr = per_shard[s];
+                const std::size_t first = sr.rows.size();
                 for (std::uint32_t r = 0; r < n_rows; ++r) {
                     batch.getBytes(slot.data(), row_width);
-                    pr.rows.push_back(
-                        table.schema().decodeRow(slot.data()));
+                    sr.rows.appendSlot(table.schema(), slot.data());
                 }
+                if (n_rows > 0)
+                    sr.runs.push_back({page_idx, first, n_rows});
                 stats.rows_examined += n_rows;
-                per_shard[s].push_back(std::move(pr));
                 // Only matched pages reach the host at all here;
                 // count them as crossing for the selectivity
                 // bookkeeping (as row payloads, not raw pages).
@@ -1305,7 +1248,7 @@ pipelinedScan(MiniDb &db, Table &table, const ExprPtr &pred,
         else
             hostShard(s);
     });
-    mergePageRows(std::move(per_shard), out.rows);
+    out.batch = mergeShardRows(std::move(per_shard));
     if (sp.plan.usable)
         notePrune(db, stats, sp.plan);
     if (any_device)
@@ -1399,13 +1342,13 @@ pointLookup(MiniDb &db, Table &table, std::uint64_t row_index,
     host.preadOn(shard, table.file(), table.localPage(page) * page_size,
                  buf.data(), page_size);
     host.consumeCpuPerByte(page_size, host.config().db_scan_ns_per_byte);
-    std::vector<Row> rows =
-        table.decodePage(buf.data(), page_size, page);
+    const std::uint64_t in_page = table.rowsInPage(page);
     const std::uint64_t slot = row_index % table.rowsPerPage();
-    BISC_ASSERT(slot < rows.size(), "short page ", page, " in lookup");
+    BISC_ASSERT(slot < in_page, "short page ", page, " in lookup");
     ++stats.pages_to_host;
-    stats.rows_examined += rows.size();
-    return rows[slot];
+    stats.rows_examined += in_page;
+    return table.schema().decodeRow(buf.data() +
+                                    slot * table.rowWidth());
 }
 
 bool
@@ -1580,7 +1523,7 @@ noteSelectivity(MiniDb &db, const ScanOutcome &out)
 }  // namespace
 
 ScanOutcome
-scanTable(MiniDb &db, Table &table, const ExprPtr &pred,
+scanBatch(MiniDb &db, Table &table, const ExprPtr &pred,
           EngineMode mode, DbStats &stats)
 {
     if (mode == EngineMode::Biscuit) {
@@ -1620,63 +1563,131 @@ scanTable(MiniDb &db, Table &table, const ExprPtr &pred,
     return convScan(db, table, pred, stats);
 }
 
+ScanOutcome
+scanTable(MiniDb &db, Table &table, const ExprPtr &pred,
+          EngineMode mode, DbStats &stats)
+{
+    ScanOutcome out = scanBatch(db, table, pred, mode, stats);
+    out.rows = out.batch.toRows();
+    out.batch = RowBatch();
+    return out;
+}
+
 namespace {
 
-/**
- * Functional side of bnlJoin(), templated over the join-key type: the
- * probe only ever looks up keys present in the outer side, so inner
- * rows with other keys are dropped from the packed slot without being
- * materialized; keeping every row of a key's subsequence in scan
- * order preserves the exact per-key group order (and thus output row
- * order) of a full hash. Int64 key columns skip string formatting
- * entirely — the int→string mapping is injective, so key identity,
- * insertion sequence, and per-key group order are unchanged.
- */
-template <class Key, class OuterKeyFn, class SlotKeyFn>
-std::vector<Row>
-hashJoinRows(const std::vector<Row> &outer, int outer_col,
-             Table &inner, int inner_col, const ExprPtr &inner_pred,
-             const OuterKeyFn &outerKey, const SlotKeyFn &slotKey,
-             std::uint64_t *matched_rows = nullptr)
+/** splitmix64's finalizer: spreads a key over all 64 bits. */
+std::uint64_t
+mix64(std::uint64_t x)
 {
-    std::vector<Key> okeys;
-    okeys.reserve(outer.size());
-    for (const auto &orow : outer)
-        okeys.push_back(outerKey(orow[static_cast<std::size_t>(outer_col)]));
-    std::unordered_set<Key> outer_keys(okeys.begin(), okeys.end());
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ull;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
 
-    std::vector<Row> matched;
-    std::unordered_multimap<Key, std::uint32_t> hash;
+/** Output columns of a join: outer's, then @p inner's. */
+RowBatch
+joinedBatch(const RowBatch &outer, const Schema &inner)
+{
+    std::vector<CellCol> cols = outer.columns();
+    const RowBatch right = RowBatch::forSchema(inner);
+    cols.insert(cols.end(), right.columns().begin(),
+                right.columns().end());
+    return RowBatch(std::move(cols));
+}
+
+/**
+ * Functional side of bnlJoin(): the outer keys index the inner rows
+ * whose key @p slot_key(slot) one of them holds; inner rows with
+ * other keys are dropped from the packed slot without being decoded.
+ * Each key chains its inner rows newest first: the per-key order the
+ * TPC-H result digests and goldens were recorded with.
+ */
+template <class Key, class OuterKey, class SlotKey>
+RowBatch
+hashJoinRows(const RowBatch &outer, const OuterKey &outer_key,
+             Table &inner, const SlotKey &slot_key,
+             const ExprPtr &inner_pred, std::uint64_t &matched_rows)
+{
+    std::unordered_map<Key, std::uint32_t> ids;  // key -> dense id
+    ids.reserve(outer.size());
+    std::vector<std::int32_t> head;  // id -> newest inner row
+    std::vector<std::uint32_t> outer_id(outer.size());
+    for (std::size_t i = 0; i < outer.size(); ++i) {
+        const auto [it, fresh] = ids.try_emplace(
+            outer_key(i), static_cast<std::uint32_t>(head.size()));
+        if (fresh)
+            head.push_back(-1);
+        outer_id[i] = it->second;
+    }
+
     const Schema &inner_schema = inner.schema();
+    RowBatch matched = RowBatch::forSchema(inner_schema);
+    std::vector<std::int32_t> older;  // inner row -> next older match
     inner.forEachSlot([&](const std::uint8_t *slot) {
         if (inner_pred && !evalPredRaw(*inner_pred, slot, inner_schema))
             return;
-        Key key = slotKey(slot, inner_schema, inner_col);
-        if (outer_keys.find(key) == outer_keys.end())
+        const auto it = ids.find(slot_key(slot));
+        if (it == ids.end())
             return;
-        hash.emplace(std::move(key),
-                     static_cast<std::uint32_t>(matched.size()));
-        matched.push_back(inner_schema.decodeRow(slot));
+        older.push_back(head[it->second]);
+        head[it->second] = static_cast<std::int32_t>(matched.size());
+        matched.appendSlot(inner_schema, slot);
     });
+    matched_rows = matched.size();
 
-    if (matched_rows != nullptr)
-        *matched_rows = matched.size();
-
-    // Probe, reusing the keys computed for the membership set.
-    std::vector<Row> out;
+    RowBatch out = joinedBatch(outer, inner_schema);
+    out.share(outer);
+    out.share(matched);
     for (std::size_t i = 0; i < outer.size(); ++i) {
-        auto range = hash.equal_range(okeys[i]);
-        for (auto it = range.first; it != range.second; ++it) {
-            const Row &irow = matched[it->second];
-            Row joined;
-            joined.reserve(outer[i].size() + irow.size());
-            joined.insert(joined.end(), outer[i].begin(),
-                          outer[i].end());
-            joined.insert(joined.end(), irow.begin(), irow.end());
-            out.push_back(std::move(joined));
-        }
+        for (std::int32_t j = head[outer_id[i]]; j >= 0; j = older[j])
+            out.appendJoined(outer.row(i), outer.columnCount(),
+                             matched.row(static_cast<std::size_t>(j)));
     }
     return out;
+}
+
+/**
+ * hashJoinRows() on the inner key's type: Int64 keys compare as
+ * integers, any other key type by its valueToString() text (doubles
+ * as "%.2f") on both sides.
+ */
+RowBatch
+hashJoin(const RowBatch &outer, int outer_col, Table &inner,
+         int inner_col, const ExprPtr &inner_pred,
+         std::uint64_t &matched_rows)
+{
+    const Schema &inner_schema = inner.schema();
+    const auto ic = static_cast<std::size_t>(inner_col);
+    if (inner_schema.at(ic).type == Type::Int64) {
+        const Bytes key_off = inner_schema.offsetOf(ic);
+        return hashJoinRows<std::int64_t>(
+            outer,
+            [&](std::size_t i) { return outer.i64(i, outer_col); },
+            inner,
+            [&](const std::uint8_t *slot) {
+                std::int64_t k;
+                std::memcpy(&k, slot + key_off, 8);
+                return k;
+            },
+            inner_pred, matched_rows);
+    }
+    const CellCol key_col = RowBatch::forSchema(inner_schema).col(inner_col);
+    return hashJoinRows<std::string>(
+        outer,
+        [&](std::size_t i) {
+            std::string k;
+            outer.appendString(k, i, outer_col);
+            return k;
+        },
+        inner,
+        [&](const std::uint8_t *slot) {
+            std::string k;
+            appendCellString(k, key_col, inner_schema.decodeCell(slot, ic));
+            return k;
+        },
+        inner_pred, matched_rows);
 }
 
 /**
@@ -1850,42 +1861,19 @@ placedJoinTiming(MiniDb &db, Table &inner, std::uint64_t blocks,
 
 }  // namespace
 
-std::vector<Row>
-bnlJoin(MiniDb &db, const std::vector<Row> &outer, Bytes outer_width,
+RowBatch
+bnlJoin(MiniDb &db, const RowBatch &outer, Bytes outer_width,
         int outer_col, Table &inner, int inner_col,
         const ExprPtr &inner_pred, DbStats &stats)
 {
     OpTimer timer(db, stats, "bnl_join");
-    std::vector<Row> out;
     if (outer.empty())
-        return out;
+        return joinedBatch(outer, inner.schema());
     auto &host = db.host();
 
-    const Type key_type =
-        inner.schema().at(static_cast<std::size_t>(inner_col)).type;
     std::uint64_t matched_rows = 0;
-    if (key_type == Type::Int64) {
-        const Bytes key_off = inner.schema().offsetOf(
-            static_cast<std::size_t>(inner_col));
-        out = hashJoinRows<std::int64_t>(
-            outer, outer_col, inner, inner_col, inner_pred,
-            [](const Value &v) { return std::get<std::int64_t>(v); },
-            [key_off](const std::uint8_t *slot, const Schema &,
-                      int) {
-                std::int64_t v;
-                std::memcpy(&v, slot + key_off, 8);
-                return v;
-            },
-            &matched_rows);
-    } else {
-        out = hashJoinRows<std::string>(
-            outer, outer_col, inner, inner_col, inner_pred,
-            [](const Value &v) { return valueToString(v); },
-            [](const std::uint8_t *slot, const Schema &s, int col) {
-                return slotKeyString(slot, s, col);
-            },
-            &matched_rows);
-    }
+    RowBatch out = hashJoin(outer, outer_col, inner, inner_col,
+                            inner_pred, matched_rows);
 
     // Timing side: block-nested-loop — the inner table is re-read in
     // full once per join-buffer block of outer rows. This is the
@@ -1928,130 +1916,229 @@ bnlJoin(MiniDb &db, const std::vector<Row> &outer, Bytes outer_width,
 }
 
 std::vector<Row>
+bnlJoin(MiniDb &db, const std::vector<Row> &outer, Bytes outer_width,
+        int outer_col, Table &inner, int inner_col,
+        const ExprPtr &inner_pred, DbStats &stats)
+{
+    return bnlJoin(db, RowBatch::fromRows(outer), outer_width, outer_col,
+                   inner, inner_col, inner_pred, stats)
+        .toRows();
+}
+
+RowBatch
+groupBy(MiniDb &db, const RowBatch &rows,
+        const std::vector<int> &key_cols,
+        const std::vector<AggSpec> &aggs, DbStats &stats)
+{
+    OpTimer timer(db, stats, "group_by");
+
+    // Group identity is the valueToString() form of each key: typed
+    // equality for Int64 and text, the "%.2f" form for doubles (1.001
+    // and 1.004 share a group; -0.001 and 0.0 do not).
+    std::string fa, fb;
+    auto doubleText = [&](std::string &buf, std::size_t r, int c) {
+        buf.clear();
+        rows.appendString(buf, r, c);
+        return std::string_view(buf);
+    };
+    auto keyHash = [&](std::size_t r) {
+        std::uint64_t h = 0;
+        for (int c : key_cols) {
+            std::uint64_t part;
+            if (rows.col(c).type == Type::Int64)
+                part = static_cast<std::uint64_t>(rows.i64(r, c));
+            else if (rows.col(c).type == Type::Double)
+                part = std::hash<std::string_view>{}(
+                    doubleText(fa, r, c));
+            else
+                part = std::hash<std::string_view>{}(rows.text(r, c));
+            h = mix64(h + part + 0x9e3779b97f4a7c15ull);
+        }
+        return h;
+    };
+    auto sameKey = [&](std::size_t a, std::size_t b) {
+        for (int c : key_cols) {
+            if (rows.col(c).type == Type::Int64) {
+                if (rows.i64(a, c) != rows.i64(b, c))
+                    return false;
+            } else if (rows.col(c).type == Type::Double) {
+                if (doubleText(fa, a, c) != doubleText(fb, b, c))
+                    return false;
+            } else if (rows.text(a, c) != rows.text(b, c)) {
+                return false;
+            }
+        }
+        return true;
+    };
+
+    // Accumulators, flat per (group, aggregate).
+    const std::size_t n_aggs = aggs.size();
+    // Keyed by each group's first row; hashed and compared by key.
+    std::unordered_map<std::size_t, std::uint32_t, decltype(keyHash),
+                       decltype(sameKey)>
+        groups(16, keyHash, sameKey);
+    std::vector<std::size_t> first_row;  // group -> its first row
+    std::vector<std::uint64_t> counts;
+    std::vector<double> sums, mins, maxs;
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        const auto [it, fresh] = groups.try_emplace(
+            r, static_cast<std::uint32_t>(first_row.size()));
+        const std::uint32_t g = it->second;
+        if (fresh) {
+            first_row.push_back(r);
+            counts.push_back(0);
+            sums.resize(sums.size() + n_aggs, 0.0);
+            mins.resize(mins.size() + n_aggs, 0.0);
+            maxs.resize(maxs.size() + n_aggs, 0.0);
+        }
+        const std::size_t at = g * n_aggs;
+        for (std::size_t a = 0; a < n_aggs; ++a) {
+            if (aggs[a].column < 0)
+                continue;
+            double v = rows.num(r, aggs[a].column);
+            sums[at + a] += v;
+            if (counts[g] == 0 || v < mins[at + a])
+                mins[at + a] = v;
+            if (counts[g] == 0 || v > maxs[at + a])
+                maxs[at + a] = v;
+        }
+        ++counts[g];
+    }
+    db.host().consumeCpu(db.planner.row_cpu * rows.size());
+
+    // Emit groups sorted by key string, built once per group: the
+    // group order the TPC-H result digests and goldens were recorded
+    // with.
+    std::vector<std::string> key_text(first_row.size());
+    for (std::size_t g = 0; g < first_row.size(); ++g) {
+        for (int c : key_cols) {
+            rows.appendString(key_text[g], first_row[g], c);
+            key_text[g] += '\x01';
+        }
+    }
+    std::vector<std::uint32_t> order(first_row.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                  return key_text[a] < key_text[b];
+              });
+
+    // A batch converted from no Rows has no columns (and no groups).
+    std::vector<CellCol> cols;
+    for (int c : key_cols)
+        cols.push_back(rows.columnCount() > 0 ? rows.col(c) : CellCol{});
+    for (const AggSpec &agg : aggs)
+        cols.push_back({agg.op == AggSpec::Op::Count ? Type::Int64
+                                                     : Type::Double,
+                        8});
+    RowBatch out(std::move(cols));
+    out.share(rows);
+    for (std::uint32_t g : order) {
+        Cell *dst = out.appendRow();
+        const Cell *first = rows.row(first_row[g]);
+        for (std::size_t k = 0; k < key_cols.size(); ++k)
+            dst[k] = first[key_cols[k]];
+        Cell *agg_out = dst + key_cols.size();
+        const std::size_t at = g * n_aggs;
+        for (std::size_t a = 0; a < n_aggs; ++a) {
+            switch (aggs[a].op) {
+              case AggSpec::Op::Sum:
+                agg_out[a].d = sums[at + a];
+                break;
+              case AggSpec::Op::Avg:
+                agg_out[a].d =
+                    sums[at + a] / static_cast<double>(counts[g]);
+                break;
+              case AggSpec::Op::Count:
+                agg_out[a].i = static_cast<std::int64_t>(counts[g]);
+                break;
+              case AggSpec::Op::Min:
+                agg_out[a].d = mins[at + a];
+                break;
+              case AggSpec::Op::Max:
+                agg_out[a].d = maxs[at + a];
+                break;
+            }
+        }
+    }
+    return out;
+}
+
+std::vector<Row>
 groupBy(MiniDb &db, const std::vector<Row> &rows,
         const std::vector<int> &key_cols,
         const std::vector<AggSpec> &aggs, DbStats &stats)
 {
-    struct Acc
-    {
-        Row keys;
-        std::vector<double> sums;
-        std::vector<double> mins;
-        std::vector<double> maxs;
-        std::uint64_t count = 0;
-    };
+    return groupBy(db, RowBatch::fromRows(rows), key_cols, aggs, stats)
+        .toRows();
+}
 
-    OpTimer timer(db, stats, "group_by");
+namespace {
 
-    auto numeric = [](const Value &v) {
-        return std::holds_alternative<std::int64_t>(v)
-                   ? static_cast<double>(std::get<std::int64_t>(v))
-                   : std::get<double>(v);
-    };
-
-    std::unordered_map<std::string, Acc> groups;
-    std::string key;
-    for (const auto &row : rows) {
-        key.clear();
-        for (int c : key_cols) {
-            appendValueKey(key, row[static_cast<std::size_t>(c)]);
-            key += '\x01';
-        }
-        Acc &acc = groups[key];
-        if (acc.count == 0) {
-            for (int c : key_cols)
-                acc.keys.push_back(row[static_cast<std::size_t>(c)]);
-            acc.sums.assign(aggs.size(), 0.0);
-            acc.mins.assign(aggs.size(), 0.0);
-            acc.maxs.assign(aggs.size(), 0.0);
-        }
-        for (std::size_t a = 0; a < aggs.size(); ++a) {
-            if (aggs[a].column < 0)
-                continue;
-            double v = numeric(
-                row[static_cast<std::size_t>(aggs[a].column)]);
-            acc.sums[a] += v;
-            if (acc.count == 0 || v < acc.mins[a])
-                acc.mins[a] = v;
-            if (acc.count == 0 || v > acc.maxs[a])
-                acc.maxs[a] = v;
-        }
-        ++acc.count;
-    }
-    db.host().consumeCpu(db.planner.row_cpu * rows.size());
-
-    // Emit groups sorted by key string, matching the iteration order
-    // of the ordered map this accumulator used before going unordered.
-    std::vector<std::pair<const std::string *, Acc *>> ordered;
-    ordered.reserve(groups.size());
-    for (auto &[k, acc] : groups)
-        ordered.emplace_back(&k, &acc);
-    std::sort(ordered.begin(), ordered.end(),
-              [](const auto &a, const auto &b) {
-                  return *a.first < *b.first;
+/**
+ * The permutation std::sort gives @p rows under the compareValues()
+ * key order. std::sort's moves depend only on its comparisons, so
+ * sorting indices reproduces, tie for tie, the order a sort of the
+ * rows themselves would give.
+ */
+std::vector<std::uint32_t>
+sortOrder(const RowBatch &rows,
+          const std::vector<std::pair<int, bool>> &keys)
+{
+    std::vector<std::uint32_t> order(rows.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                  for (auto [col, desc] : keys) {
+                      int c = rows.compare(a, b, col);
+                      if (c != 0)
+                          return desc ? c > 0 : c < 0;
+                  }
+                  return false;
               });
+    return order;
+}
 
-    std::vector<Row> out;
-    out.reserve(groups.size());
-    for (auto &[kptr, accptr] : ordered) {
-        Acc &acc = *accptr;
-        Row row = acc.keys;
-        for (std::size_t a = 0; a < aggs.size(); ++a) {
-            switch (aggs[a].op) {
-              case AggSpec::Op::Sum:
-                row.emplace_back(acc.sums[a]);
-                break;
-              case AggSpec::Op::Avg:
-                row.emplace_back(acc.sums[a] /
-                                 static_cast<double>(acc.count));
-                break;
-              case AggSpec::Op::Count:
-                row.emplace_back(
-                    static_cast<std::int64_t>(acc.count));
-                break;
-              case AggSpec::Op::Min:
-                row.emplace_back(acc.mins[a]);
-                break;
-              case AggSpec::Op::Max:
-                row.emplace_back(acc.maxs[a]);
-                break;
-            }
-        }
-        out.push_back(std::move(row));
-    }
-    return out;
+}  // namespace
+
+void
+sortRows(RowBatch &rows, const std::vector<std::pair<int, bool>> &keys)
+{
+    rows.permute(sortOrder(rows, keys));
 }
 
 void
 sortRows(std::vector<Row> &rows,
          const std::vector<std::pair<int, bool>> &keys)
 {
-    std::sort(rows.begin(), rows.end(),
-              [&](const Row &a, const Row &b) {
-                  for (auto [col, desc] : keys) {
-                      int c = compareValues(
-                          a[static_cast<std::size_t>(col)],
-                          b[static_cast<std::size_t>(col)]);
-                      if (c != 0)
-                          return desc ? c > 0 : c < 0;
-                  }
-                  return false;
-              });
+    std::vector<std::uint32_t> order =
+        sortOrder(RowBatch::fromRows(rows), keys);
+    std::vector<Row> sorted;
+    sorted.reserve(rows.size());
+    for (std::uint32_t i : order)
+        sorted.push_back(std::move(rows[i]));
+    rows.swap(sorted);
+}
+
+RowBatch
+filterRows(MiniDb &db, const RowBatch &rows, const ExprPtr &pred,
+           DbStats &stats)
+{
+    OpTimer timer(db, stats, "filter");
+    RowBatch out = rows.where([&](std::size_t r) {
+        return !pred || evalPred(*pred, rows, r);
+    });
+    db.host().consumeCpu(db.planner.row_cpu * rows.size());
+    stats.rows_examined += rows.size();
+    return out;
 }
 
 std::vector<Row>
 filterRows(MiniDb &db, const std::vector<Row> &rows,
            const ExprPtr &pred, DbStats &stats)
 {
-    OpTimer timer(db, stats, "filter");
-    std::vector<Row> out;
-    for (const auto &row : rows) {
-        if (!pred || evalPred(*pred, row))
-            out.push_back(row);
-    }
-    db.host().consumeCpu(db.planner.row_cpu * rows.size());
-    stats.rows_examined += rows.size();
-    return out;
+    return filterRows(db, RowBatch::fromRows(rows), pred, stats)
+        .toRows();
 }
 
 }  // namespace bisc::db

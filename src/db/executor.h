@@ -6,6 +6,10 @@
  * The 22 TPC-H query drivers (src/tpch/queries.cc) compose these
  * primitives; each primitive charges its own simulated time so query
  * elapsed times fall out of the composition.
+ *
+ * Every operator works on typed RowBatches (db/row_batch.h). The
+ * std::vector<Row> overloads are adapters for callers outside the
+ * engine: they convert, run the typed operator, and convert back.
  */
 
 #ifndef BISCUIT_DB_EXECUTOR_H_
@@ -17,6 +21,7 @@
 
 #include "db/expr.h"
 #include "db/minidb.h"
+#include "db/row_batch.h"
 #include "db/table.h"
 #include "pm/pattern_matcher.h"
 
@@ -27,7 +32,8 @@ enum class EngineMode { Conv, Biscuit };
 
 struct ScanOutcome
 {
-    std::vector<Row> rows;
+    std::vector<Row> rows;   ///< scanTable() result
+    RowBatch batch;          ///< scanBatch() result (rows stays empty)
     bool used_ndp = false;
     double sampled_selectivity = -1.0;  ///< -1: sampling not run
 
@@ -63,6 +69,10 @@ struct ScanOutcome
  * host. Rows returned satisfy @p pred exactly.
  */
 ScanOutcome scanTable(MiniDb &db, Table &table, const ExprPtr &pred,
+                      EngineMode mode, DbStats &stats);
+
+/** scanTable() with the rows left typed in ScanOutcome::batch. */
+ScanOutcome scanBatch(MiniDb &db, Table &table, const ExprPtr &pred,
                       EngineMode mode, DbStats &stats);
 
 /**
@@ -118,8 +128,13 @@ std::string scanStatKey(const Table &table, const pm::KeySet &keys);
  * magnifies, paper §V-C) and hash-join *semantics*. @p outer_width is
  * the storage width of one outer row (join-buffer occupancy);
  * @p inner_pred filters inner rows during each pass. Output rows are
- * outer ++ inner concatenations.
+ * outer ++ inner concatenations: outer rows in order, each followed
+ * by its inner matches newest-first (reverse inner scan order).
  */
+RowBatch bnlJoin(MiniDb &db, const RowBatch &outer, Bytes outer_width,
+                 int outer_col, Table &inner, int inner_col,
+                 const ExprPtr &inner_pred, DbStats &stats);
+
 std::vector<Row> bnlJoin(MiniDb &db, const std::vector<Row> &outer,
                          Bytes outer_width, int outer_col,
                          Table &inner, int inner_col,
@@ -135,18 +150,35 @@ struct AggSpec
 
 /**
  * Group @p rows by @p key_cols and compute @p aggs per group. Output
- * rows are [keys..., aggregates...]. Charges per-row host CPU.
+ * rows are [keys..., aggregates...]: Count is Int64, the others
+ * Double. Groups are the distinct valueToString() forms of the keys
+ * (doubles bucket by "%.2f") and are emitted in the order of their
+ * key strings joined by '\x01'. Charges per-row host CPU.
  */
+RowBatch groupBy(MiniDb &db, const RowBatch &rows,
+                 const std::vector<int> &key_cols,
+                 const std::vector<AggSpec> &aggs, DbStats &stats);
+
 std::vector<Row> groupBy(MiniDb &db, const std::vector<Row> &rows,
                          const std::vector<int> &key_cols,
                          const std::vector<AggSpec> &aggs,
                          DbStats &stats);
 
-/** In-place sort by (column, descending?) keys. */
+/**
+ * In-place sort by (column, descending?) keys with compareValues()
+ * order. Not stable: ties land where std::sort puts them, the same
+ * for a batch and for the equal vector<Row>.
+ */
+void sortRows(RowBatch &rows,
+              const std::vector<std::pair<int, bool>> &keys);
+
 void sortRows(std::vector<Row> &rows,
               const std::vector<std::pair<int, bool>> &keys);
 
 /** Filter @p rows by @p pred on the host (charges per-row CPU). */
+RowBatch filterRows(MiniDb &db, const RowBatch &rows,
+                    const ExprPtr &pred, DbStats &stats);
+
 std::vector<Row> filterRows(MiniDb &db, const std::vector<Row> &rows,
                             const ExprPtr &pred, DbStats &stats);
 

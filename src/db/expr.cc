@@ -136,139 +136,7 @@ likeMatch(std::string_view text, const std::string &pattern)
     return p == pattern.size();
 }
 
-bool
-evalPred(const Expr &e, const Row &row)
-{
-    switch (e.kind) {
-      case Expr::Kind::Cmp: {
-        int c = compareValues(row.at(e.column), e.value);
-        switch (e.op) {
-          case CmpOp::Eq: return c == 0;
-          case CmpOp::Ne: return c != 0;
-          case CmpOp::Lt: return c < 0;
-          case CmpOp::Le: return c <= 0;
-          case CmpOp::Gt: return c > 0;
-          case CmpOp::Ge: return c >= 0;
-        }
-        return false;
-      }
-      case Expr::Kind::CmpCol: {
-        int c = compareValues(row.at(e.column), row.at(e.column2));
-        switch (e.op) {
-          case CmpOp::Eq: return c == 0;
-          case CmpOp::Ne: return c != 0;
-          case CmpOp::Lt: return c < 0;
-          case CmpOp::Le: return c <= 0;
-          case CmpOp::Gt: return c > 0;
-          case CmpOp::Ge: return c >= 0;
-        }
-        return false;
-      }
-      case Expr::Kind::Between:
-        return compareValues(row.at(e.column), e.lo) >= 0 &&
-               compareValues(row.at(e.column), e.hi) <= 0;
-      case Expr::Kind::In:
-        return std::any_of(e.set.begin(), e.set.end(),
-                           [&](const Value &v) {
-                               return compareValues(row.at(e.column),
-                                                    v) == 0;
-                           });
-      case Expr::Kind::Like:
-        return likeMatch(std::get<std::string>(row.at(e.column)),
-                         e.pattern);
-      case Expr::Kind::NotLike:
-        return !likeMatch(std::get<std::string>(row.at(e.column)),
-                          e.pattern);
-      case Expr::Kind::And:
-        return std::all_of(e.kids.begin(), e.kids.end(),
-                           [&](const ExprPtr &k) {
-                               return evalPred(*k, row);
-                           });
-      case Expr::Kind::Or:
-        return std::any_of(e.kids.begin(), e.kids.end(),
-                           [&](const ExprPtr &k) {
-                               return evalPred(*k, row);
-                           });
-      case Expr::Kind::Not:
-        return !evalPred(*e.kids.at(0), row);
-    }
-    return false;
-}
-
 namespace {
-
-/** Text column bytes up to NUL/width, without materializing. */
-std::string_view
-rawText(const std::uint8_t *slot, const Schema &s, int column)
-{
-    const Column &c = s.at(static_cast<std::size_t>(column));
-    const char *p = reinterpret_cast<const char *>(
-        slot + s.offsetOf(static_cast<std::size_t>(column)));
-    Bytes n = 0;
-    while (n < c.width && p[n] != '\0')
-        ++n;
-    return {p, n};
-}
-
-double
-rawNumber(const std::uint8_t *slot, const Schema &s, int column)
-{
-    const Column &c = s.at(static_cast<std::size_t>(column));
-    const std::uint8_t *src =
-        slot + s.offsetOf(static_cast<std::size_t>(column));
-    if (c.type == Type::Int64) {
-        std::int64_t v;
-        std::memcpy(&v, src, 8);
-        return static_cast<double>(v);
-    }
-    double v;
-    std::memcpy(&v, src, 8);
-    return v;
-}
-
-bool
-rawIsText(const Schema &s, int column)
-{
-    Type t = s.at(static_cast<std::size_t>(column)).type;
-    return t == Type::String || t == Type::Date;
-}
-
-/** compareValues() semantics against an in-slot column. */
-int
-compareRawWithValue(const std::uint8_t *slot, const Schema &s,
-                    int column, const Value &v)
-{
-    if (rawIsText(s, column)) {
-        BISC_ASSERT(std::holds_alternative<std::string>(v),
-                    "comparing string with numeric");
-        std::string_view x = rawText(slot, s, column);
-        std::string_view y = std::get<std::string>(v);
-        return x < y ? -1 : (x == y ? 0 : 1);
-    }
-    BISC_ASSERT(!std::holds_alternative<std::string>(v),
-                "comparing numeric with string");
-    double x = rawNumber(slot, s, column);
-    double y = std::holds_alternative<std::int64_t>(v)
-                   ? static_cast<double>(std::get<std::int64_t>(v))
-                   : std::get<double>(v);
-    return x < y ? -1 : (x == y ? 0 : 1);
-}
-
-int
-compareRawCols(const std::uint8_t *slot, const Schema &s, int c1,
-               int c2)
-{
-    if (rawIsText(s, c1)) {
-        BISC_ASSERT(rawIsText(s, c2), "comparing string with numeric");
-        std::string_view x = rawText(slot, s, c1);
-        std::string_view y = rawText(slot, s, c2);
-        return x < y ? -1 : (x == y ? 0 : 1);
-    }
-    BISC_ASSERT(!rawIsText(s, c2), "comparing numeric with string");
-    double x = rawNumber(slot, s, c1);
-    double y = rawNumber(slot, s, c2);
-    return x < y ? -1 : (x == y ? 0 : 1);
-}
 
 bool
 cmpHolds(CmpOp op, int c)
@@ -284,46 +152,179 @@ cmpHolds(CmpOp op, int c)
     return false;
 }
 
-}  // namespace
+template <class T>
+int
+threeWay(const T &x, const T &y)
+{
+    return x < y ? -1 : (x == y ? 0 : 1);
+}
 
+double
+numberOf(const Value &v)
+{
+    return std::holds_alternative<std::int64_t>(v)
+               ? static_cast<double>(std::get<std::int64_t>(v))
+               : std::get<double>(v);
+}
+
+/**
+ * The one predicate evaluator. @p Acc reads column values of one row
+ * in whatever form it is stored (Row, packed slot, batch cells):
+ * isText(c), text(c) -> string_view and number(c) -> double. The type
+ * checks are compareValues()'s.
+ */
+template <class Acc>
+int
+compareWithValue(const Acc &row, int column, const Value &v)
+{
+    if (row.isText(column)) {
+        BISC_ASSERT(std::holds_alternative<std::string>(v),
+                    "comparing string with numeric");
+        return threeWay(row.text(column),
+                        std::string_view(std::get<std::string>(v)));
+    }
+    BISC_ASSERT(!std::holds_alternative<std::string>(v),
+                "comparing numeric with string");
+    return threeWay(row.number(column), numberOf(v));
+}
+
+template <class Acc>
+int
+compareColumns(const Acc &row, int c1, int c2)
+{
+    if (row.isText(c1)) {
+        BISC_ASSERT(row.isText(c2), "comparing string with numeric");
+        return threeWay(row.text(c1), row.text(c2));
+    }
+    BISC_ASSERT(!row.isText(c2), "comparing numeric with string");
+    return threeWay(row.number(c1), row.number(c2));
+}
+
+template <class Acc>
 bool
-evalPredRaw(const Expr &e, const std::uint8_t *slot, const Schema &s)
+evalWith(const Expr &e, const Acc &row)
 {
     switch (e.kind) {
       case Expr::Kind::Cmp:
-        return cmpHolds(e.op,
-                        compareRawWithValue(slot, s, e.column,
-                                            e.value));
+        return cmpHolds(e.op, compareWithValue(row, e.column, e.value));
       case Expr::Kind::CmpCol:
-        return cmpHolds(e.op,
-                        compareRawCols(slot, s, e.column, e.column2));
+        return cmpHolds(e.op, compareColumns(row, e.column, e.column2));
       case Expr::Kind::Between:
-        return compareRawWithValue(slot, s, e.column, e.lo) >= 0 &&
-               compareRawWithValue(slot, s, e.column, e.hi) <= 0;
+        return compareWithValue(row, e.column, e.lo) >= 0 &&
+               compareWithValue(row, e.column, e.hi) <= 0;
       case Expr::Kind::In:
         return std::any_of(e.set.begin(), e.set.end(),
                            [&](const Value &v) {
-                               return compareRawWithValue(
-                                          slot, s, e.column, v) == 0;
+                               return compareWithValue(row, e.column,
+                                                       v) == 0;
                            });
       case Expr::Kind::Like:
-        return likeMatch(rawText(slot, s, e.column), e.pattern);
       case Expr::Kind::NotLike:
-        return !likeMatch(rawText(slot, s, e.column), e.pattern);
+        BISC_ASSERT(row.isText(e.column), "LIKE on a numeric column");
+        return likeMatch(row.text(e.column), e.pattern) ==
+               (e.kind == Expr::Kind::Like);
       case Expr::Kind::And:
         return std::all_of(e.kids.begin(), e.kids.end(),
                            [&](const ExprPtr &k) {
-                               return evalPredRaw(*k, slot, s);
+                               return evalWith(*k, row);
                            });
       case Expr::Kind::Or:
         return std::any_of(e.kids.begin(), e.kids.end(),
                            [&](const ExprPtr &k) {
-                               return evalPredRaw(*k, slot, s);
+                               return evalWith(*k, row);
                            });
       case Expr::Kind::Not:
-        return !evalPredRaw(*e.kids.at(0), slot, s);
+        return !evalWith(*e.kids.at(0), row);
     }
     return false;
+}
+
+struct RowAccess
+{
+    const Row &row;
+
+    bool
+    isText(int c) const
+    {
+        return std::holds_alternative<std::string>(row.at(c));
+    }
+    std::string_view
+    text(int c) const
+    {
+        return std::get<std::string>(row.at(c));
+    }
+    double number(int c) const { return numberOf(row.at(c)); }
+};
+
+struct SlotAccess
+{
+    const std::uint8_t *slot;
+    const Schema &schema;
+
+    const Column &
+    column(int c) const
+    {
+        return schema.at(static_cast<std::size_t>(c));
+    }
+    const std::uint8_t *
+    at(int c) const
+    {
+        return slot + schema.offsetOf(static_cast<std::size_t>(c));
+    }
+    bool
+    isText(int c) const
+    {
+        return column(c).type == Type::String ||
+               column(c).type == Type::Date;
+    }
+    std::string_view
+    text(int c) const
+    {
+        return textOf(reinterpret_cast<const char *>(at(c)),
+                      column(c).width);
+    }
+    double
+    number(int c) const
+    {
+        if (column(c).type == Type::Int64) {
+            std::int64_t v;
+            std::memcpy(&v, at(c), 8);
+            return static_cast<double>(v);
+        }
+        double v;
+        std::memcpy(&v, at(c), 8);
+        return v;
+    }
+};
+
+struct BatchAccess
+{
+    const RowBatch &batch;
+    std::size_t r;
+
+    bool isText(int c) const { return batch.col(c).text(); }
+    std::string_view text(int c) const { return batch.text(r, c); }
+    double number(int c) const { return batch.num(r, c); }
+};
+
+}  // namespace
+
+bool
+evalPred(const Expr &e, const Row &row)
+{
+    return evalWith(e, RowAccess{row});
+}
+
+bool
+evalPredRaw(const Expr &e, const std::uint8_t *slot, const Schema &s)
+{
+    return evalWith(e, SlotAccess{slot, s});
+}
+
+bool
+evalPred(const Expr &e, const RowBatch &batch, std::size_t row)
+{
+    return evalWith(e, BatchAccess{batch, row});
 }
 
 namespace {

@@ -19,6 +19,7 @@
 #include <string_view>
 #include <vector>
 
+#include "db/row_batch.h"
 #include "db/types.h"
 #include "pm/pattern_matcher.h"
 
@@ -74,6 +75,9 @@ ExprPtr exprNot(ExprPtr kid);
 
 /** Evaluate a predicate against a row. */
 bool evalPred(const Expr &e, const Row &row);
+
+/** Evaluate a predicate against row @p row of a typed batch. */
+bool evalPred(const Expr &e, const RowBatch &batch, std::size_t row);
 
 /**
  * Evaluate a predicate directly against a packed row slot (the

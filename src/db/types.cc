@@ -1,5 +1,6 @@
 #include "db/types.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 
@@ -93,17 +94,33 @@ compareValues(const Value &a, const Value &b)
     return x < y ? -1 : (x == y ? 0 : 1);
 }
 
+void
+appendNumberString(std::string &out, std::int64_t v)
+{
+    char buf[24];
+    auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, res.ptr);
+}
+
+void
+appendNumberString(std::string &out, double v)
+{
+    char buf[32];
+    int n = std::snprintf(buf, sizeof(buf), "%.2f", v);
+    out.append(buf, static_cast<std::size_t>(n));
+}
+
 std::string
 valueToString(const Value &v)
 {
-    if (std::holds_alternative<std::int64_t>(v))
-        return std::to_string(std::get<std::int64_t>(v));
-    if (std::holds_alternative<double>(v)) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.2f", std::get<double>(v));
-        return buf;
-    }
-    return std::get<std::string>(v);
+    if (const auto *s = std::get_if<std::string>(&v))
+        return *s;
+    std::string out;
+    if (const auto *i = std::get_if<std::int64_t>(&v))
+        appendNumberString(out, *i);
+    else
+        appendNumberString(out, std::get<double>(v));
+    return out;
 }
 
 Schema::Schema(std::vector<Column> columns)
@@ -158,36 +175,58 @@ Schema::encodeRow(const std::vector<Value> &row, std::uint8_t *out) const
     }
 }
 
+Cell
+Schema::decodeCell(const std::uint8_t *slot, std::size_t i) const
+{
+    const std::uint8_t *src = slot + offsets_[i];
+    Cell cell{};
+    switch (columns_[i].type) {
+      case Type::Int64: {
+        std::int64_t v;
+        std::memcpy(&v, src, 8);
+        cell.i = v;
+        break;
+      }
+      case Type::Double: {
+        double v;
+        std::memcpy(&v, src, 8);
+        cell.d = v;
+        break;
+      }
+      case Type::String:
+      case Type::Date:
+        cell.s = reinterpret_cast<const char *>(src);
+        break;
+    }
+    return cell;
+}
+
+void
+Schema::decodeCells(const std::uint8_t *slot, Cell *out) const
+{
+    for (std::size_t i = 0; i < columns_.size(); ++i)
+        out[i] = decodeCell(slot, i);
+}
+
 std::vector<Value>
 Schema::decodeRow(const std::uint8_t *slot) const
 {
     std::vector<Value> row;
     row.reserve(columns_.size());
     for (std::size_t i = 0; i < columns_.size(); ++i) {
-        const Column &c = columns_[i];
-        const std::uint8_t *src = slot + offsets_[i];
-        switch (c.type) {
-          case Type::Int64: {
-            std::int64_t v;
-            std::memcpy(&v, src, 8);
-            row.emplace_back(v);
+        const Cell cell = decodeCell(slot, i);
+        switch (columns_[i].type) {
+          case Type::Int64:
+            row.emplace_back(cell.i);
             break;
-          }
-          case Type::Double: {
-            double v;
-            std::memcpy(&v, src, 8);
-            row.emplace_back(v);
+          case Type::Double:
+            row.emplace_back(cell.d);
             break;
-          }
           case Type::String:
-          case Type::Date: {
-            Bytes n = 0;
-            while (n < c.width && src[n] != 0)
-                ++n;
+          case Type::Date:
             row.emplace_back(std::in_place_type<std::string>,
-                             reinterpret_cast<const char *>(src), n);
+                             textOf(cell.s, columns_[i].width));
             break;
-          }
         }
     }
     return row;

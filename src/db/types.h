@@ -13,7 +13,9 @@
 #define BISCUIT_DB_TYPES_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -30,6 +32,46 @@ enum class Type {
 };
 
 using Value = std::variant<std::int64_t, double, std::string>;
+
+/**
+ * One fixed 8-byte cell of a typed row (db/row_batch.h): an Int64 or
+ * Double value, or a pointer to NUL-padded text whose column width
+ * bounds its length. Which member is live is the column's type.
+ */
+union Cell
+{
+    std::int64_t i;
+    double d;
+    const char *s;
+
+    static Cell
+    fromInt(std::int64_t v)
+    {
+        Cell c;
+        c.i = v;
+        return c;
+    }
+
+    static Cell
+    fromDouble(double v)
+    {
+        Cell c;
+        c.d = v;
+        return c;
+    }
+};
+static_assert(sizeof(Cell) == 8, "cells are 8 bytes");
+
+/** Fixed-width text: the bytes before the first NUL, at most @p width. */
+inline std::string_view
+textOf(const char *p, std::size_t width)
+{
+    const void *nul = std::memchr(p, 0, width);
+    return {p, nul == nullptr
+                   ? width
+                   : static_cast<std::size_t>(
+                         static_cast<const char *>(nul) - p)};
+}
 
 /** Build a zero-padded date string. */
 std::string makeDate(int year, int month, int day);
@@ -48,6 +90,13 @@ int compareValues(const Value &a, const Value &b);
 
 /** Readable form for debugging and result dumps. */
 std::string valueToString(const Value &v);
+
+/**
+ * Append the valueToString() form of an Int64 or Double to @p out
+ * ("%.2f" for doubles) without a temporary string.
+ */
+void appendNumberString(std::string &out, std::int64_t v);
+void appendNumberString(std::string &out, double v);
 
 struct Column
 {
@@ -103,7 +152,16 @@ class Schema
     void encodeRow(const std::vector<Value> &row,
                    std::uint8_t *out) const;
 
-    /** Decode a row slot. */
+    /**
+     * Decode column @p i of a row slot. A text cell points into
+     * @p slot, so it stays valid only as long as those bytes do.
+     */
+    Cell decodeCell(const std::uint8_t *slot, std::size_t i) const;
+
+    /** decodeCell() of every column into size() cells. */
+    void decodeCells(const std::uint8_t *slot, Cell *out) const;
+
+    /** Decode a row slot (decodeCell() materialized as Values). */
     std::vector<Value> decodeRow(const std::uint8_t *slot) const;
 
   private:

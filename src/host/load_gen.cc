@@ -58,23 +58,31 @@ generateWebLog(fs::FileSystem &fs, const std::string &path, Bytes total,
                const std::string &needle, std::uint32_t needle_period,
                std::uint64_t seed)
 {
-    // Generate lines once into a byte budget, tracking how many copies
-    // of the needle were planted; stream into the file system page by
-    // page to avoid holding the corpus twice.
+    // Generate lines once into a byte budget, counting the needles
+    // that end inside it (the cut through the last line may drop
+    // one); stream into the file system page by page to avoid holding
+    // the corpus twice.
     Rng rng(seed);
     std::uint64_t planted = 0;
     std::uint64_t line_no = 0;
+    Bytes generated = 0;  // corpus offset just past `pending`
     std::string pending;
 
     fs.populateWith(path, total,
                     [&](Bytes off, std::uint8_t *buf, Bytes n) {
                         (void)off;
                         while (pending.size() < n) {
-                            if (needle_period != 0 &&
-                                line_no % needle_period == 0)
+                            const bool planting =
+                                needle_period != 0 &&
+                                line_no % needle_period == 0;
+                            std::string line = logLine(
+                                line_no++, rng, needle, needle_period);
+                            generated += line.size();
+                            // The needle is the last field, just
+                            // before the newline.
+                            if (planting && generated - 1 <= total)
                                 ++planted;
-                            pending += logLine(line_no++, rng, needle,
-                                               needle_period);
+                            pending += line;
                         }
                         std::memcpy(buf, pending.data(), n);
                         pending.erase(0, n);

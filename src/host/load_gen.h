@@ -46,7 +46,9 @@ class StreamBench
  * Synthesize a web-log corpus at @p path of ~@p total bytes. Lines
  * look like combined-log entries; @p needle is planted on a
  * deterministic subset of lines (1 in @p needle_period). Returns the
- * number of planted occurrences so search results are verifiable.
+ * number of planted occurrences that made it into the file (the cut
+ * at @p total may drop the last one), so search results are
+ * verifiable.
  */
 std::uint64_t generateWebLog(fs::FileSystem &fs,
                              const std::string &path, Bytes total,

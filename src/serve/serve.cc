@@ -479,6 +479,9 @@ serveMain(db::MiniDb &db, const ServeConfig &cfg,
         // run tears down ServeState.
         st.session = std::make_unique<db::PlacementSession>(db);
         db::warmGrepModules(db);
+        // Placed joins semi-scan through the hetero module; a drive
+        // without it resident would abort on an unknown module id.
+        db::warmHeteroModules(db);
     }
 
     st.jobs_total =

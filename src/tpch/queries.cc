@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
+#include <string_view>
+#include <unordered_set>
 
 #include "db/planner.h"
 #include "obs/obs.h"
@@ -12,13 +13,16 @@
 namespace bisc::tpch {
 
 using db::AggSpec;
+using db::Cell;
+using db::CellCol;
 using db::CmpOp;
 using db::EngineMode;
 using db::ExprPtr;
 using db::MiniDb;
-using db::Row;
+using db::RowBatch;
 using db::ScanOutcome;
 using db::Table;
+using db::Type;
 using db::Value;
 
 namespace {
@@ -31,27 +35,43 @@ dv(const Value &v)
                : std::get<double>(v);
 }
 
-const std::string &
-sv(const Value &v)
-{
-    return std::get<std::string>(v);
-}
-
-/** Append a computed column to every row (charged per row). */
+/** Append a Double column computed per row (charged per row). */
+template <class Fn>
 void
-addComputed(MiniDb &db, std::vector<Row> &rows,
-            const std::function<Value(const Row &)> &fn)
+addComputed(MiniDb &db, RowBatch &rows, const Fn &fn)
 {
-    for (auto &row : rows)
-        row.push_back(fn(row));
+    rows.addColumn({Type::Double, 8}, [&](std::size_t r) {
+        return Cell::fromDouble(fn(r));
+    });
     db.host().consumeCpu(db.planner.row_cpu * rows.size());
 }
 
+/**
+ * Append a column holding the first @p n bytes of text column @p col:
+ * the same bytes under a narrower width, so nothing is copied.
+ */
 void
-limitRows(std::vector<Row> &rows, std::size_t n)
+addTextPrefix(RowBatch &rows, int col, std::uint32_t n)
 {
-    if (rows.size() > n)
-        rows.resize(n);
+    BISC_ASSERT(rows.col(col).text(), "prefix of a numeric column");
+    rows.addColumn({Type::String, std::min(n, rows.col(col).width)},
+                   [&](std::size_t r) { return rows.row(r)[col]; });
+}
+
+/** One-row, one-column Double result. */
+RowBatch
+scalar(double v)
+{
+    RowBatch out(std::vector<CellCol>{{Type::Double, 8}});
+    out.appendRow()[0] = Cell::fromDouble(v);
+    return out;
+}
+
+/** Index of the last column (a just-appended computed one). */
+int
+lastCol(const RowBatch &rows)
+{
+    return static_cast<int>(rows.columnCount()) - 1;
 }
 
 /** Everything a query body needs. */
@@ -73,11 +93,11 @@ struct Ctx
      * The planner's candidate scan: its offload decision defines the
      * query's Fig. 10 category.
      */
-    ScanOutcome
+    RowBatch
     primary(Table &table, const ExprPtr &pred)
     {
         ScanOutcome s =
-            db::scanTable(db, table, pred, mode, out.stats);
+            db::scanBatch(db, table, pred, mode, out.stats);
         out.ndp_used = s.used_ndp;
         out.planner_note = s.note;
         out.sampled_selectivity = s.sampled_selectivity;
@@ -86,51 +106,61 @@ struct Ctx
         out.placement = s.placement;
         out.predicted_ticks = s.predicted_ticks;
         out.measured_ticks = s.measured_ticks;
-        return s;
+        return std::move(s.batch);
     }
 
     /** A secondary scan (never the offload candidate). */
-    ScanOutcome
+    RowBatch
     scan(Table &table, const ExprPtr &pred)
     {
-        return db::scanTable(db, table, pred, EngineMode::Conv,
-                             out.stats);
+        return db::scanBatch(db, table, pred, EngineMode::Conv,
+                             out.stats)
+            .batch;
     }
 
-    std::vector<Row>
-    join(const std::vector<Row> &outer, Bytes outer_width,
-         int outer_col, Table &inner, const char *inner_col,
+    RowBatch
+    join(const RowBatch &outer, Bytes outer_width, int outer_col,
+         Table &inner, const char *inner_col,
          const ExprPtr &inner_pred = nullptr)
     {
         return db::bnlJoin(db, outer, outer_width, outer_col, inner,
                            inner.schema().indexOf(inner_col),
                            inner_pred, out.stats);
     }
+
+    /** Line revenue, price * (1 - discount), of lineitem at @p base. */
+    void
+    addRevenue(RowBatch &rows, int base)
+    {
+        const int price = base + ix("lineitem", "l_extendedprice");
+        const int disc = base + ix("lineitem", "l_discount");
+        addComputed(db, rows, [&](std::size_t r) {
+            return rows.num(r, price) * (1.0 - rows.num(r, disc));
+        });
+    }
 };
 
 // =====================================================================
 // The 22 queries. Column index bookkeeping: joined rows concatenate
 // outer columns then inner columns; width variables track storage
-// bytes for the BNL buffer model.
+// bytes for the BNL buffer model. Column indexes are resolved once,
+// before any row loop.
 // =====================================================================
 
 // Q1: pricing summary report. One-sided shipdate range: the planner
 // never attempts NDP ("expects the selectivity to be very low").
-std::vector<Row>
+RowBatch
 q1(Ctx &c)
 {
     auto &L = c.t("lineitem");
     const auto &ls = L.schema();
-    auto s = c.primary(
+    RowBatch rows = c.primary(
         L, db::cmp(ls, "l_shipdate", CmpOp::Le,
                    std::string("1998-06-15")));
-    addComputed(c.db, s.rows, [&](const Row &r) {
-        return Value(dv(r[c.ix("lineitem", "l_extendedprice")]) *
-                     (1.0 - dv(r[c.ix("lineitem", "l_discount")])));
-    });
+    c.addRevenue(rows, 0);
     int disc_price = static_cast<int>(ls.size());
     auto grouped = db::groupBy(
-        c.db, s.rows,
+        c.db, rows,
         {ls.indexOf("l_returnflag"), ls.indexOf("l_linestatus")},
         {{AggSpec::Op::Sum, ls.indexOf("l_quantity")},
          {AggSpec::Op::Sum, ls.indexOf("l_extendedprice")},
@@ -144,7 +174,7 @@ q1(Ctx &c)
 
 // Q2: minimum-cost supplier. Part filter samples out (BRASS is a
 // fifth of all types: nearly every page matches).
-std::vector<Row>
+RowBatch
 q2(Ctx &c)
 {
     auto &P = c.t("part");
@@ -153,9 +183,8 @@ q2(Ctx &c)
         P, db::exprAnd({db::like(ps, "p_type", "%BRASS"),
                         db::cmp(ps, "p_size", CmpOp::Eq,
                                 std::int64_t{15})}));
-    auto j1 = c.join(parts.rows, P.rowWidth(),
-                     ps.indexOf("p_partkey"), c.t("partsupp"),
-                     "ps_partkey");
+    auto j1 = c.join(parts, P.rowWidth(), ps.indexOf("p_partkey"),
+                     c.t("partsupp"), "ps_partkey");
     Bytes w1 = P.rowWidth() + c.t("partsupp").rowWidth();
     int ps_suppkey = static_cast<int>(ps.size()) +
                      c.ix("partsupp", "ps_suppkey");
@@ -174,12 +203,12 @@ q2(Ctx &c)
     int s_acctbal = static_cast<int>(ps.size()) + 4 +
                     c.ix("supplier", "s_acctbal");
     db::sortRows(j4, {{s_acctbal, true}});
-    limitRows(j4, 100);
+    j4.truncate(100);
     return j4;
 }
 
 // Q3: shipping priority. Customer segment filter samples out.
-std::vector<Row>
+RowBatch
 q3(Ctx &c)
 {
     auto &C = c.t("customer");
@@ -187,8 +216,8 @@ q3(Ctx &c)
     auto cust = c.primary(C, db::cmp(cs, "c_mktsegment", CmpOp::Eq,
                                      std::string("BUILDING")));
     auto &O = c.t("orders");
-    auto j1 = c.join(cust.rows, C.rowWidth(),
-                     cs.indexOf("c_custkey"), O, "o_custkey",
+    auto j1 = c.join(cust, C.rowWidth(), cs.indexOf("c_custkey"), O,
+                     "o_custkey",
                      db::cmp(O.schema(), "o_orderdate", CmpOp::Lt,
                              std::string("1995-03-15")));
     Bytes w1 = C.rowWidth() + O.rowWidth();
@@ -198,27 +227,20 @@ q3(Ctx &c)
     auto j2 = c.join(j1, w1, o_orderkey, L, "l_orderkey",
                      db::cmp(L.schema(), "l_shipdate", CmpOp::Gt,
                              std::string("1995-03-15")));
-    int base = static_cast<int>(cs.size() + O.schema().size());
-    addComputed(c.db, j2, [&](const Row &r) {
-        return Value(
-            dv(r[base + c.ix("lineitem", "l_extendedprice")]) *
-            (1.0 - dv(r[base + c.ix("lineitem", "l_discount")])));
-    });
-    int rev = static_cast<int>(cs.size() + O.schema().size() +
-                               L.schema().size());
+    c.addRevenue(j2, static_cast<int>(cs.size() + O.schema().size()));
     auto grouped = db::groupBy(
         c.db, j2,
         {o_orderkey,
          static_cast<int>(cs.size()) + c.ix("orders", "o_orderdate")},
-        {{AggSpec::Op::Sum, rev}}, c.out.stats);
+        {{AggSpec::Op::Sum, lastCol(j2)}}, c.out.stats);
     db::sortRows(grouped, {{2, true}});
-    limitRows(grouped, 10);
+    grouped.truncate(10);
     return grouped;
 }
 
 // Q4: order priority checking. Three-month o_orderdate window: month
 // keys, clustered orders, NDP offloads.
-std::vector<Row>
+RowBatch
 q4(Ctx &c)
 {
     auto &O = c.t("orders");
@@ -227,19 +249,16 @@ q4(Ctx &c)
         O, db::between(os, "o_orderdate", std::string("1993-07-01"),
                        std::string("1993-09-30")));
     auto &L = c.t("lineitem");
-    auto j = c.join(orders.rows, O.rowWidth(),
-                    os.indexOf("o_orderkey"), L, "l_orderkey",
+    auto j = c.join(orders, O.rowWidth(), os.indexOf("o_orderkey"), L,
+                    "l_orderkey",
                     db::cmpCols(L.schema(), "l_commitdate", CmpOp::Lt,
                                 "l_receiptdate"));
     // EXISTS semantics: one hit per order.
-    std::set<std::int64_t> seen;
-    std::vector<Row> exists;
+    std::unordered_set<std::int64_t> seen;
     int o_orderkey = os.indexOf("o_orderkey");
-    for (auto &r : j) {
-        auto key = std::get<std::int64_t>(r[o_orderkey]);
-        if (seen.insert(key).second)
-            exists.push_back(r);
-    }
+    auto exists = j.where([&](std::size_t r) {
+        return seen.insert(j.i64(r, o_orderkey)).second;
+    });
     auto grouped = db::groupBy(c.db, exists,
                                {os.indexOf("o_orderpriority")},
                                {{AggSpec::Op::Count, -1}},
@@ -253,7 +272,7 @@ q4(Ctx &c)
 // order, while the conventional MariaDB plan drives the BNL from the
 // smallest predicated table (customer), re-scanning the fact tables
 // once per buffer block.
-std::vector<Row>
+RowBatch
 q5(Ctx &c)
 {
     auto &O = c.t("orders");
@@ -268,12 +287,12 @@ q5(Ctx &c)
     auto asia = db::cmp(R.schema(), "r_name", CmpOp::Eq,
                         std::string("ASIA"));
 
-    std::vector<Row> j4;
+    RowBatch j4;
     int base_l, base_n;
     if (c.mode == EngineMode::Biscuit) {
         // NDP plan: filtered orders first. Layout [O, L, C, N, R].
         auto orders = c.primary(O, date_pred);
-        auto j1 = c.join(orders.rows, O.rowWidth(),
+        auto j1 = c.join(orders, O.rowWidth(),
                          os.indexOf("o_orderkey"), L, "l_orderkey");
         Bytes w1 = O.rowWidth() + L.rowWidth();
         auto j2 = c.join(j1, w1, os.indexOf("o_custkey"), C,
@@ -295,9 +314,8 @@ q5(Ctx &c)
             "conventional plan (customer-outer BNL)";
         const auto &cs = C.schema();
         auto cust = c.scan(C, nullptr);
-        auto j1 = c.join(cust.rows, C.rowWidth(),
-                         cs.indexOf("c_custkey"), O, "o_custkey",
-                         date_pred);
+        auto j1 = c.join(cust, C.rowWidth(), cs.indexOf("c_custkey"),
+                         O, "o_custkey", date_pred);
         Bytes w1 = C.rowWidth() + O.rowWidth();
         int o_orderkey = static_cast<int>(cs.size()) +
                          c.ix("orders", "o_orderkey");
@@ -313,15 +331,10 @@ q5(Ctx &c)
         base_l = static_cast<int>(cs.size() + os.size());
     }
 
-    addComputed(c.db, j4, [&](const Row &r) {
-        return Value(
-            dv(r[base_l + c.ix("lineitem", "l_extendedprice")]) *
-            (1.0 - dv(r[base_l + c.ix("lineitem", "l_discount")])));
-    });
+    c.addRevenue(j4, base_l);
     int n_name = base_n + c.ix("nation", "n_name");
-    int rev = static_cast<int>(j4.empty() ? 0 : j4[0].size() - 1);
     auto grouped = db::groupBy(c.db, j4, {n_name},
-                               {{AggSpec::Op::Sum, rev}},
+                               {{AggSpec::Op::Sum, lastCol(j4)}},
                                c.out.stats);
     db::sortRows(grouped, {{1, true}});
     return grouped;
@@ -329,30 +342,30 @@ q5(Ctx &c)
 
 // Q6: revenue forecast. Pure scan + aggregate on lineitem; the
 // one-year shipdate conjunct provides the key.
-std::vector<Row>
+RowBatch
 q6(Ctx &c)
 {
     auto &L = c.t("lineitem");
     const auto &ls = L.schema();
-    auto s = c.primary(
+    auto rows = c.primary(
         L, db::exprAnd(
                {db::between(ls, "l_shipdate",
                             std::string("1994-01-01"),
                             std::string("1994-12-31")),
                 db::between(ls, "l_discount", 0.05, 0.07),
                 db::cmp(ls, "l_quantity", CmpOp::Lt, 24.0)}));
+    const int price = ls.indexOf("l_extendedprice");
+    const int disc = ls.indexOf("l_discount");
     double revenue = 0;
-    for (auto &r : s.rows) {
-        revenue += dv(r[ls.indexOf("l_extendedprice")]) *
-                   dv(r[ls.indexOf("l_discount")]);
-    }
-    c.db.host().consumeCpu(c.db.planner.row_cpu * s.rows.size());
-    return {{Value(revenue)}};
+    for (std::size_t r = 0; r < rows.size(); ++r)
+        revenue += rows.num(r, price) * rows.num(r, disc);
+    c.db.host().consumeCpu(c.db.planner.row_cpu * rows.size());
+    return scalar(revenue);
 }
 
 // Q7: volume shipping. The filter lives on tiny nation tables; the
 // planner gives up NDP ("target table size is too small").
-std::vector<Row>
+RowBatch
 q7(Ctx &c)
 {
     auto &N = c.t("nation");
@@ -361,8 +374,8 @@ q7(Ctx &c)
         N, db::inSet(ns, "n_name",
                      {std::string("FRANCE"), std::string("GERMANY")}));
     auto &S = c.t("supplier");
-    auto j1 = c.join(nations.rows, N.rowWidth(),
-                     ns.indexOf("n_nationkey"), S, "s_nationkey");
+    auto j1 = c.join(nations, N.rowWidth(), ns.indexOf("n_nationkey"),
+                     S, "s_nationkey");
     Bytes w1 = N.rowWidth() + S.rowWidth();
     int s_suppkey = static_cast<int>(ns.size()) +
                     c.ix("supplier", "s_suppkey");
@@ -370,31 +383,23 @@ q7(Ctx &c)
     auto j2 = c.join(j1, w1, s_suppkey, L, "l_suppkey");
     // The date window applies after the join (not the NDP candidate).
     int base_l = static_cast<int>(ns.size() + S.schema().size());
-    std::vector<Row> filtered;
-    for (auto &r : j2) {
-        const auto &d = sv(r[base_l + c.ix("lineitem", "l_shipdate")]);
-        if (d >= "1995-01-01" && d <= "1996-12-31")
-            filtered.push_back(std::move(r));
-    }
-    c.db.host().consumeCpu(c.db.planner.row_cpu * j2.size());
-    addComputed(c.db, filtered, [&](const Row &r) {
-        return Value(
-            dv(r[base_l + c.ix("lineitem", "l_extendedprice")]) *
-            (1.0 - dv(r[base_l + c.ix("lineitem", "l_discount")])));
+    const int l_shipdate = base_l + c.ix("lineitem", "l_shipdate");
+    auto filtered = j2.where([&](std::size_t r) {
+        std::string_view d = j2.text(r, l_shipdate);
+        return d >= "1995-01-01" && d <= "1996-12-31";
     });
+    c.db.host().consumeCpu(c.db.planner.row_cpu * j2.size());
+    c.addRevenue(filtered, base_l);
     int n_name = ns.indexOf("n_name");
-    int vol = filtered.empty()
-                  ? 0
-                  : static_cast<int>(filtered[0].size() - 1);
     auto grouped = db::groupBy(c.db, filtered, {n_name},
-                               {{AggSpec::Op::Sum, vol}},
+                               {{AggSpec::Op::Sum, lastCol(filtered)}},
                                c.out.stats);
     db::sortRows(grouped, {{0, false}});
     return grouped;
 }
 
 // Q8: national market share. Two-year o_orderdate window: year keys.
-std::vector<Row>
+RowBatch
 q8(Ctx &c)
 {
     auto &O = c.t("orders");
@@ -403,8 +408,8 @@ q8(Ctx &c)
         O, db::between(os, "o_orderdate", std::string("1995-01-01"),
                        std::string("1996-12-31")));
     auto &L = c.t("lineitem");
-    auto j1 = c.join(orders.rows, O.rowWidth(),
-                     os.indexOf("o_orderkey"), L, "l_orderkey");
+    auto j1 = c.join(orders, O.rowWidth(), os.indexOf("o_orderkey"), L,
+                     "l_orderkey");
     Bytes w1 = O.rowWidth() + L.rowWidth();
     int l_partkey = static_cast<int>(os.size()) +
                     c.ix("lineitem", "l_partkey");
@@ -412,19 +417,11 @@ q8(Ctx &c)
     auto j2 = c.join(j1, w1, l_partkey, P, "p_partkey",
                      db::cmp(P.schema(), "p_type", CmpOp::Eq,
                              std::string("ECONOMY ANODIZED STEEL")));
-    int base_l = static_cast<int>(os.size());
-    addComputed(c.db, j2, [&](const Row &r) {
-        return Value(
-            dv(r[base_l + c.ix("lineitem", "l_extendedprice")]) *
-            (1.0 - dv(r[base_l + c.ix("lineitem", "l_discount")])));
-    });
+    c.addRevenue(j2, static_cast<int>(os.size()));
     // Group volume by order year.
-    int o_date = os.indexOf("o_orderdate");
-    for (auto &r : j2)
-        r.push_back(Value(sv(r[o_date]).substr(0, 4)));
-    int year = j2.empty() ? 0 : static_cast<int>(j2[0].size() - 1);
-    int vol = year - 1;
-    auto grouped = db::groupBy(c.db, j2, {year},
+    int vol = lastCol(j2);
+    addTextPrefix(j2, os.indexOf("o_orderdate"), 4);
+    auto grouped = db::groupBy(c.db, j2, {lastCol(j2)},
                                {{AggSpec::Op::Sum, vol}},
                                c.out.stats);
     db::sortRows(grouped, {{0, false}});
@@ -432,16 +429,15 @@ q8(Ctx &c)
 }
 
 // Q9: product type profit. '%green%' p_name filter samples out.
-std::vector<Row>
+RowBatch
 q9(Ctx &c)
 {
     auto &P = c.t("part");
     const auto &ps = P.schema();
-    auto parts =
-        c.primary(P, db::like(ps, "p_name", "%green%"));
+    auto parts = c.primary(P, db::like(ps, "p_name", "%green%"));
     auto &L = c.t("lineitem");
-    auto j1 = c.join(parts.rows, P.rowWidth(),
-                     ps.indexOf("p_partkey"), L, "l_partkey");
+    auto j1 = c.join(parts, P.rowWidth(), ps.indexOf("p_partkey"), L,
+                     "l_partkey");
     Bytes w1 = P.rowWidth() + L.rowWidth();
     int l_suppkey = static_cast<int>(ps.size()) +
                     c.ix("lineitem", "l_suppkey");
@@ -453,18 +449,18 @@ q9(Ctx &c)
     auto &N = c.t("nation");
     auto j3 = c.join(j2, w2, s_nat, N, "n_nationkey");
     int base_l = static_cast<int>(ps.size());
-    addComputed(c.db, j3, [&](const Row &r) {
-        return Value(
-            dv(r[base_l + c.ix("lineitem", "l_extendedprice")]) *
-            (1.0 - dv(r[base_l + c.ix("lineitem", "l_discount")])) -
-            0.5 * dv(r[base_l + c.ix("lineitem", "l_quantity")]));
+    const int price = base_l + c.ix("lineitem", "l_extendedprice");
+    const int disc = base_l + c.ix("lineitem", "l_discount");
+    const int qty = base_l + c.ix("lineitem", "l_quantity");
+    addComputed(c.db, j3, [&](std::size_t r) {
+        return j3.num(r, price) * (1.0 - j3.num(r, disc)) -
+               0.5 * j3.num(r, qty);
     });
     int n_name = static_cast<int>(ps.size() + L.schema().size() +
                                   S.schema().size()) +
                  c.ix("nation", "n_name");
-    int profit = j3.empty() ? 0 : static_cast<int>(j3[0].size() - 1);
     auto grouped = db::groupBy(c.db, j3, {n_name},
-                               {{AggSpec::Op::Sum, profit}},
+                               {{AggSpec::Op::Sum, lastCol(j3)}},
                                c.out.stats);
     db::sortRows(grouped, {{0, false}});
     return grouped;
@@ -472,7 +468,7 @@ q9(Ctx &c)
 
 // Q10: returned item reporting. Three-month o_orderdate offloads;
 // conventional MariaDB drives the BNL from customer.
-std::vector<Row>
+RowBatch
 q10(Ctx &c)
 {
     auto &O = c.t("orders");
@@ -485,12 +481,12 @@ q10(Ctx &c)
     auto returned = db::cmp(L.schema(), "l_returnflag", CmpOp::Eq,
                             std::string("R"));
 
-    std::vector<Row> j2;
+    RowBatch j2;
     int base_l, c_name;
     if (c.mode == EngineMode::Biscuit) {
         // NDP plan: filtered orders first. Layout [O, L, C].
         auto orders = c.primary(O, date_pred);
-        auto j1 = c.join(orders.rows, O.rowWidth(),
+        auto j1 = c.join(orders, O.rowWidth(),
                          os.indexOf("o_orderkey"), L, "l_orderkey",
                          returned);
         Bytes w1 = O.rowWidth() + L.rowWidth();
@@ -504,9 +500,8 @@ q10(Ctx &c)
             "conventional plan (customer-outer BNL)";
         const auto &cs = C.schema();
         auto cust = c.scan(C, nullptr);
-        auto j1 = c.join(cust.rows, C.rowWidth(),
-                         cs.indexOf("c_custkey"), O, "o_custkey",
-                         date_pred);
+        auto j1 = c.join(cust, C.rowWidth(), cs.indexOf("c_custkey"),
+                         O, "o_custkey", date_pred);
         Bytes w1 = C.rowWidth() + O.rowWidth();
         int o_orderkey = static_cast<int>(cs.size()) +
                          c.ix("orders", "o_orderkey");
@@ -515,22 +510,17 @@ q10(Ctx &c)
         c_name = cs.indexOf("c_name");
     }
 
-    addComputed(c.db, j2, [&](const Row &r) {
-        return Value(
-            dv(r[base_l + c.ix("lineitem", "l_extendedprice")]) *
-            (1.0 - dv(r[base_l + c.ix("lineitem", "l_discount")])));
-    });
-    int rev = j2.empty() ? 0 : static_cast<int>(j2[0].size() - 1);
+    c.addRevenue(j2, base_l);
     auto grouped = db::groupBy(c.db, j2, {c_name},
-                               {{AggSpec::Op::Sum, rev}},
+                               {{AggSpec::Op::Sum, lastCol(j2)}},
                                c.out.stats);
     db::sortRows(grouped, {{1, true}});
-    limitRows(grouped, 20);
+    grouped.truncate(20);
     return grouped;
 }
 
 // Q11: important stock. Nation filter on a tiny table: no NDP.
-std::vector<Row>
+RowBatch
 q11(Ctx &c)
 {
     auto &N = c.t("nation");
@@ -538,26 +528,25 @@ q11(Ctx &c)
     auto nations = c.primary(N, db::cmp(ns, "n_name", CmpOp::Eq,
                                         std::string("GERMANY")));
     auto &S = c.t("supplier");
-    auto j1 = c.join(nations.rows, N.rowWidth(),
-                     ns.indexOf("n_nationkey"), S, "s_nationkey");
+    auto j1 = c.join(nations, N.rowWidth(), ns.indexOf("n_nationkey"),
+                     S, "s_nationkey");
     Bytes w1 = N.rowWidth() + S.rowWidth();
     int s_suppkey = static_cast<int>(ns.size()) +
                     c.ix("supplier", "s_suppkey");
     auto &PS = c.t("partsupp");
     auto j2 = c.join(j1, w1, s_suppkey, PS, "ps_suppkey");
     int base_ps = static_cast<int>(ns.size() + S.schema().size());
-    addComputed(c.db, j2, [&](const Row &r) {
-        return Value(
-            dv(r[base_ps + c.ix("partsupp", "ps_supplycost")]) *
-            dv(r[base_ps + c.ix("partsupp", "ps_availqty")]));
+    const int cost = base_ps + c.ix("partsupp", "ps_supplycost");
+    const int avail = base_ps + c.ix("partsupp", "ps_availqty");
+    addComputed(c.db, j2, [&](std::size_t r) {
+        return j2.num(r, cost) * j2.num(r, avail);
     });
     int ps_partkey = base_ps + c.ix("partsupp", "ps_partkey");
-    int val = j2.empty() ? 0 : static_cast<int>(j2[0].size() - 1);
     auto grouped = db::groupBy(c.db, j2, {ps_partkey},
-                               {{AggSpec::Op::Sum, val}},
+                               {{AggSpec::Op::Sum, lastCol(j2)}},
                                c.out.stats);
     db::sortRows(grouped, {{1, true}});
-    limitRows(grouped, 50);
+    grouped.truncate(50);
     return grouped;
 }
 
@@ -565,7 +554,7 @@ q11(Ctx &c)
 // offloads (the planner prefers the single year key over the two IN
 // keys); the conventional MariaDB plan drives the BNL from the
 // smaller orders table and re-scans lineitem per block.
-std::vector<Row>
+RowBatch
 q12(Ctx &c)
 {
     auto &L = c.t("lineitem");
@@ -580,33 +569,34 @@ q12(Ctx &c)
          db::cmpCols(ls, "l_commitdate", CmpOp::Lt, "l_receiptdate"),
          db::cmpCols(ls, "l_shipdate", CmpOp::Lt, "l_commitdate")});
 
-    std::vector<Row> j;
+    RowBatch j;
     int l_base, o_base;
     if (c.mode == EngineMode::Biscuit) {
         // NDP plan: filtered lineitem first. Layout [L, O].
         auto lines = c.primary(L, pred);
-        j = c.join(lines.rows, L.rowWidth(),
-                   ls.indexOf("l_orderkey"), O, "o_orderkey");
+        j = c.join(lines, L.rowWidth(), ls.indexOf("l_orderkey"), O,
+                   "o_orderkey");
         l_base = 0;
         o_base = static_cast<int>(ls.size());
     } else {
         // MariaDB plan: orders-outer BNL. Layout [O, L].
         c.out.planner_note = "conventional plan (orders-outer BNL)";
         auto orders = c.scan(O, nullptr);
-        j = c.join(orders.rows, O.rowWidth(),
-                   os.indexOf("o_orderkey"), L, "l_orderkey", pred);
+        j = c.join(orders, O.rowWidth(), os.indexOf("o_orderkey"), L,
+                   "l_orderkey", pred);
         o_base = 0;
         l_base = static_cast<int>(os.size());
     }
 
     int o_prio = o_base + c.ix("orders", "o_orderpriority");
-    for (auto &r : j) {
-        const auto &p = sv(r[o_prio]);
-        bool high = p == "1-URGENT" || p == "2-HIGH";
-        r.push_back(Value(std::int64_t{high ? 1 : 0}));
-        r.push_back(Value(std::int64_t{high ? 0 : 1}));
-    }
-    int hi = j.empty() ? 0 : static_cast<int>(j[0].size() - 2);
+    j.addColumn({Type::Int64, 8}, [&](std::size_t r) {
+        std::string_view p = j.text(r, o_prio);
+        return Cell::fromInt(p == "1-URGENT" || p == "2-HIGH" ? 1 : 0);
+    });
+    int hi = lastCol(j);
+    j.addColumn({Type::Int64, 8}, [&](std::size_t r) {
+        return Cell::fromInt(1 - j.i64(r, hi));
+    });
     auto grouped = db::groupBy(
         c.db, j, {l_base + ls.indexOf("l_shipmode")},
         {{AggSpec::Op::Sum, hi}, {AggSpec::Op::Sum, hi + 1}},
@@ -616,15 +606,14 @@ q12(Ctx &c)
 }
 
 // Q13: customer distribution. NOT LIKE cannot run on the matcher IP.
-std::vector<Row>
+RowBatch
 q13(Ctx &c)
 {
     auto &O = c.t("orders");
     const auto &os = O.schema();
     auto orders = c.primary(
         O, db::notLike(os, "o_comment", "%special%requests%"));
-    auto grouped = db::groupBy(c.db, orders.rows,
-                               {os.indexOf("o_custkey")},
+    auto grouped = db::groupBy(c.db, orders, {os.indexOf("o_custkey")},
                                {{AggSpec::Op::Count, -1}},
                                c.out.stats);
     // Distribution of counts.
@@ -637,7 +626,7 @@ q13(Ctx &c)
 // Q14: promotion effect. One-month l_shipdate window: the flagship
 // offload — early filtering flips the join from part-outer (many
 // full lineitem passes) to filtered-lineitem-outer.
-std::vector<Row>
+RowBatch
 q14(Ctx &c)
 {
     auto &L = c.t("lineitem");
@@ -647,15 +636,15 @@ q14(Ctx &c)
                             std::string("1995-09-01"),
                             std::string("1995-09-30"));
 
-    std::vector<Row> joined;
+    RowBatch joined;
     int l_base, p_base;
     if (c.mode == EngineMode::Biscuit) {
         // NDP plan: filter lineitem on the device, then put the
         // (small) filtered row set first in the join order — the
         // paper's query-planning heuristic for offloaded filters.
         auto lines = c.primary(L, pred);
-        joined = c.join(lines.rows, L.rowWidth(),
-                        ls.indexOf("l_partkey"), P, "p_partkey");
+        joined = c.join(lines, L.rowWidth(), ls.indexOf("l_partkey"),
+                        P, "p_partkey");
         l_base = 0;
         p_base = static_cast<int>(ls.size());
     } else {
@@ -664,28 +653,28 @@ q14(Ctx &c)
         // evaluating the date filter on the host each pass.
         c.out.planner_note = "conventional plan (part-outer BNL)";
         auto parts = c.scan(P, nullptr);
-        joined = c.join(parts.rows, P.rowWidth(),
+        joined = c.join(parts, P.rowWidth(),
                         P.schema().indexOf("p_partkey"), L,
                         "l_partkey", pred);
         p_base = 0;
         l_base = static_cast<int>(P.schema().size());
     }
+    const int price = l_base + c.ix("lineitem", "l_extendedprice");
+    const int disc = l_base + c.ix("lineitem", "l_discount");
+    const int p_type = p_base + c.ix("part", "p_type");
     double promo = 0, total = 0;
-    for (auto &r : joined) {
-        double rev =
-            dv(r[l_base + c.ix("lineitem", "l_extendedprice")]) *
-            (1.0 - dv(r[l_base + c.ix("lineitem", "l_discount")]));
+    for (std::size_t r = 0; r < joined.size(); ++r) {
+        double rev = joined.num(r, price) * (1.0 - joined.num(r, disc));
         total += rev;
-        if (sv(r[p_base + c.ix("part", "p_type")]).rfind("PROMO",
-                                                         0) == 0)
+        if (joined.text(r, p_type).starts_with("PROMO"))
             promo += rev;
     }
     c.db.host().consumeCpu(c.db.planner.row_cpu * joined.size());
-    return {{Value(total > 0 ? 100.0 * promo / total : 0.0)}};
+    return scalar(total > 0 ? 100.0 * promo / total : 0.0);
 }
 
 // Q15: top supplier. Three-month l_shipdate window offloads.
-std::vector<Row>
+RowBatch
 q15(Ctx &c)
 {
     auto &L = c.t("lineitem");
@@ -693,28 +682,21 @@ q15(Ctx &c)
     auto lines = c.primary(
         L, db::between(ls, "l_shipdate", std::string("1996-01-01"),
                        std::string("1996-03-31")));
-    addComputed(c.db, lines.rows, [&](const Row &r) {
-        return Value(dv(r[c.ix("lineitem", "l_extendedprice")]) *
-                     (1.0 - dv(r[c.ix("lineitem", "l_discount")])));
-    });
-    int rev = static_cast<int>(ls.size());
-    auto grouped = db::groupBy(c.db, lines.rows,
-                               {ls.indexOf("l_suppkey")},
-                               {{AggSpec::Op::Sum, rev}},
+    c.addRevenue(lines, 0);
+    auto grouped = db::groupBy(c.db, lines, {ls.indexOf("l_suppkey")},
+                               {{AggSpec::Op::Sum, lastCol(lines)}},
                                c.out.stats);
     db::sortRows(grouped, {{1, true}});
-    limitRows(grouped, 1);
+    grouped.truncate(1);
     // Attach the supplier record.
-    auto &S = c.t("supplier");
-    auto j = c.join(grouped, 16, 0, S, "s_suppkey");
-    return j;
+    return c.join(grouped, 16, 0, c.t("supplier"), "s_suppkey");
 }
 
 // Q16: part/supplier relationship (simplified: the spec's negated
 // brand/type predicates are replaced by a brand equality so the
 // planner reaches its sampling stage, which rejects the offload — a
 // fifth of pages would not match, but nearly all do).
-std::vector<Row>
+RowBatch
 q16(Ctx &c)
 {
     auto &P = c.t("part");
@@ -722,21 +704,21 @@ q16(Ctx &c)
     auto parts = c.primary(P, db::cmp(ps, "p_brand", CmpOp::Eq,
                                       std::string("Brand#35")));
     auto &PS = c.t("partsupp");
-    auto j = c.join(parts.rows, P.rowWidth(),
-                    ps.indexOf("p_partkey"), PS, "ps_partkey");
+    auto j = c.join(parts, P.rowWidth(), ps.indexOf("p_partkey"), PS,
+                    "ps_partkey");
     auto grouped = db::groupBy(
         c.db, j,
         {ps.indexOf("p_brand"), ps.indexOf("p_type"),
          ps.indexOf("p_size")},
         {{AggSpec::Op::Count, -1}}, c.out.stats);
     db::sortRows(grouped, {{3, true}});
-    limitRows(grouped, 40);
+    grouped.truncate(40);
     return grouped;
 }
 
 // Q17: small-quantity-order revenue. Brand+container filter samples
 // out (a 25th of rows still touches nearly every page).
-std::vector<Row>
+RowBatch
 q17(Ctx &c)
 {
     auto &P = c.t("part");
@@ -747,56 +729,52 @@ q17(Ctx &c)
                         db::cmp(ps, "p_container", CmpOp::Eq,
                                 std::string("MED BOX"))}));
     auto &L = c.t("lineitem");
-    auto j = c.join(parts.rows, P.rowWidth(),
-                    ps.indexOf("p_partkey"), L, "l_partkey");
+    auto j = c.join(parts, P.rowWidth(), ps.indexOf("p_partkey"), L,
+                    "l_partkey");
     // avg quantity per part, then the below-20% slice.
     int l_qty = static_cast<int>(ps.size()) +
                 c.ix("lineitem", "l_quantity");
     int p_key = ps.indexOf("p_partkey");
     std::map<std::int64_t, std::pair<double, int>> avg;
-    for (auto &r : j) {
-        auto &acc = avg[std::get<std::int64_t>(r[p_key])];
-        acc.first += dv(r[l_qty]);
+    for (std::size_t r = 0; r < j.size(); ++r) {
+        auto &acc = avg[j.i64(r, p_key)];
+        acc.first += j.num(r, l_qty);
         acc.second += 1;
     }
     double total = 0;
     int l_price = static_cast<int>(ps.size()) +
                   c.ix("lineitem", "l_extendedprice");
-    for (auto &r : j) {
-        auto &acc = avg[std::get<std::int64_t>(r[p_key])];
-        if (dv(r[l_qty]) < 0.2 * acc.first / acc.second)
-            total += dv(r[l_price]);
+    for (std::size_t r = 0; r < j.size(); ++r) {
+        auto &acc = avg[j.i64(r, p_key)];
+        if (j.num(r, l_qty) < 0.2 * acc.first / acc.second)
+            total += j.num(r, l_price);
     }
     c.db.host().consumeCpu(2 * c.db.planner.row_cpu * j.size());
-    return {{Value(total / 7.0)}};
+    return scalar(total / 7.0);
 }
 
 // Q18: large volume customer. No filter predicate at all.
-std::vector<Row>
+RowBatch
 q18(Ctx &c)
 {
     auto &L = c.t("lineitem");
     const auto &ls = L.schema();
     auto lines = c.primary(L, nullptr);
     auto per_order = db::groupBy(
-        c.db, lines.rows, {ls.indexOf("l_orderkey")},
+        c.db, lines, {ls.indexOf("l_orderkey")},
         {{AggSpec::Op::Sum, ls.indexOf("l_quantity")}}, c.out.stats);
-    std::vector<Row> big;
-    for (auto &r : per_order) {
-        if (dv(r[1]) > 270.0)
-            big.push_back(r);
-    }
+    auto big = per_order.where(
+        [&](std::size_t r) { return per_order.num(r, 1) > 270.0; });
     c.db.host().consumeCpu(c.db.planner.row_cpu * per_order.size());
-    auto &O = c.t("orders");
-    auto j = c.join(big, 16, 0, O, "o_orderkey");
+    auto j = c.join(big, 16, 0, c.t("orders"), "o_orderkey");
     db::sortRows(j, {{1, true}});
-    limitRows(j, 100);
+    j.truncate(100);
     return j;
 }
 
 // Q19: discounted revenue. The OR arms mix numeric ranges the matcher
 // cannot express: no NDP attempt.
-std::vector<Row>
+RowBatch
 q19(Ctx &c)
 {
     auto &L = c.t("lineitem");
@@ -815,29 +793,29 @@ q19(Ctx &c)
                      db::cmp(ls, "l_shipinstruct", CmpOp::Eq,
                              std::string("DELIVER IN PERSON"))})}));
     auto &P = c.t("part");
-    auto j = c.join(lines.rows, L.rowWidth(),
-                    ls.indexOf("l_partkey"), P, "p_partkey",
+    auto j = c.join(lines, L.rowWidth(), ls.indexOf("l_partkey"), P,
+                    "p_partkey",
                     db::cmp(P.schema(), "p_brand", CmpOp::Eq,
                             std::string("Brand#12")));
+    const int price = ls.indexOf("l_extendedprice");
+    const int disc = ls.indexOf("l_discount");
     double rev = 0;
-    for (auto &r : j) {
-        rev += dv(r[c.ix("lineitem", "l_extendedprice")]) *
-               (1.0 - dv(r[c.ix("lineitem", "l_discount")]));
-    }
+    for (std::size_t r = 0; r < j.size(); ++r)
+        rev += j.num(r, price) * (1.0 - j.num(r, disc));
     c.db.host().consumeCpu(c.db.planner.row_cpu * j.size());
-    return {{Value(rev)}};
+    return scalar(rev);
 }
 
 // Q20: potential part promotion. 'forest%' p_name filter samples out.
-std::vector<Row>
+RowBatch
 q20(Ctx &c)
 {
     auto &P = c.t("part");
     const auto &ps = P.schema();
     auto parts = c.primary(P, db::like(ps, "p_name", "forest%"));
     auto &PS = c.t("partsupp");
-    auto j1 = c.join(parts.rows, P.rowWidth(),
-                     ps.indexOf("p_partkey"), PS, "ps_partkey");
+    auto j1 = c.join(parts, P.rowWidth(), ps.indexOf("p_partkey"), PS,
+                     "ps_partkey");
     Bytes w1 = P.rowWidth() + PS.rowWidth();
     int ps_suppkey = static_cast<int>(ps.size()) +
                      c.ix("partsupp", "ps_suppkey");
@@ -849,13 +827,13 @@ q20(Ctx &c)
                                {{AggSpec::Op::Count, -1}},
                                c.out.stats);
     db::sortRows(grouped, {{0, false}});
-    limitRows(grouped, 50);
+    grouped.truncate(50);
     return grouped;
 }
 
 // Q21: suppliers who kept orders waiting. Single-character status
 // predicate: expected selectivity too low, no NDP attempt.
-std::vector<Row>
+RowBatch
 q21(Ctx &c)
 {
     auto &O = c.t("orders");
@@ -863,8 +841,8 @@ q21(Ctx &c)
     auto orders = c.primary(O, db::cmp(os, "o_orderstatus", CmpOp::Eq,
                                        std::string("F")));
     auto &L = c.t("lineitem");
-    auto j1 = c.join(orders.rows, O.rowWidth(),
-                     os.indexOf("o_orderkey"), L, "l_orderkey",
+    auto j1 = c.join(orders, O.rowWidth(), os.indexOf("o_orderkey"), L,
+                     "l_orderkey",
                      db::cmpCols(L.schema(), "l_receiptdate",
                                  CmpOp::Gt, "l_commitdate"));
     Bytes w1 = O.rowWidth() + L.rowWidth();
@@ -878,13 +856,13 @@ q21(Ctx &c)
                                {{AggSpec::Op::Count, -1}},
                                c.out.stats);
     db::sortRows(grouped, {{1, true}});
-    limitRows(grouped, 100);
+    grouped.truncate(100);
     return grouped;
 }
 
 // Q22: global sales opportunity. Two-character country codes are
 // below the matcher's useful key length: no NDP attempt.
-std::vector<Row>
+RowBatch
 q22(Ctx &c)
 {
     auto &C = c.t("customer");
@@ -896,24 +874,19 @@ q22(Ctx &c)
     // Custom predicate: phone prefix in the code set and positive
     // balance (the IN above intentionally fails to match whole
     // fields; re-filter by prefix here).
-    std::vector<Row> eligible;
     int c_phone = cs.indexOf("c_phone");
     int c_bal = cs.indexOf("c_acctbal");
     auto all = c.scan(C, nullptr);
-    for (auto &r : all.rows) {
-        const auto &p = sv(r[c_phone]);
-        bool code = p.rfind("13", 0) == 0 || p.rfind("31", 0) == 0 ||
-                    p.rfind("23", 0) == 0;
-        if (code && dv(r[c_bal]) > 0.0)
-            eligible.push_back(r);
-    }
-    c.db.host().consumeCpu(c.db.planner.row_cpu * all.rows.size());
+    auto eligible = all.where([&](std::size_t r) {
+        std::string_view p = all.text(r, c_phone);
+        bool code = p.starts_with("13") || p.starts_with("31") ||
+                    p.starts_with("23");
+        return code && all.num(r, c_bal) > 0.0;
+    });
+    c.db.host().consumeCpu(c.db.planner.row_cpu * all.size());
     (void)cust;
-    for (auto &r : eligible)
-        r.push_back(Value(sv(r[c_phone]).substr(0, 2)));
-    int code_col =
-        eligible.empty() ? 0 : static_cast<int>(eligible[0].size() - 1);
-    auto grouped = db::groupBy(c.db, eligible, {code_col},
+    addTextPrefix(eligible, c_phone, 2);
+    auto grouped = db::groupBy(c.db, eligible, {lastCol(eligible)},
                                {{AggSpec::Op::Count, -1},
                                 {AggSpec::Op::Sum, c_bal}},
                                c.out.stats);
@@ -921,7 +894,7 @@ q22(Ctx &c)
     return grouped;
 }
 
-using QueryFn = std::vector<Row> (*)(Ctx &);
+using QueryFn = RowBatch (*)(Ctx &);
 
 struct QueryEntry
 {
@@ -987,7 +960,7 @@ runQuery(int q, db::MiniDb &db, db::EngineMode mode)
     Ctx ctx{db, mode, out};
     auto &kernel = db.env().kernel;
     Tick t0 = kernel.now();
-    out.rows = it->second.fn(ctx);
+    out.rows = it->second.fn(ctx).toRows();
     out.elapsed = kernel.now() - t0;
     OBS_COMPLETE(kernel.obs(), "tpch",
                  kernel.obs().intern(

@@ -208,9 +208,21 @@ TEST_F(HostTest, WebLogGeneratorPlantsNeedles)
     env_.fs.peek("/weblog", 0, size, all.data());
     BoyerMoore bm("ERROR_XYZ");
     std::uint64_t ref = bm.count(all.data(), all.size());
-    // The final truncated line may cut one planted needle.
-    EXPECT_GE(planted, ref);
-    EXPECT_LE(planted - ref, 1u);
+    EXPECT_EQ(planted, ref);
+}
+
+TEST_F(HostTest, WebLogGeneratorCountsOnlyNeedlesInTheFile)
+{
+    // At this seed and size the corpus cut falls inside the last
+    // planted needle: the count must leave it out.
+    const Bytes total = 2_MiB;
+    auto planted =
+        generateWebLog(env_.fs, "/weblog", total, "heisenbug", 97, 14);
+    std::vector<std::uint8_t> all(total);
+    env_.fs.peek("/weblog", 0, total, all.data());
+    EXPECT_EQ(planted,
+              BoyerMoore("heisenbug").count(all.data(), all.size()));
+    EXPECT_EQ(planted, 316u);
 }
 
 TEST_F(HostTest, GrepConvFindsPlantedNeedles)

@@ -185,6 +185,28 @@ TEST(ServeSoak, PlacedGrepRoutingIsDeterministicAndDrains)
     EXPECT_FALSE(serve::ServeConfig{}.placed_greps);
 }
 
+TEST(ServeSoak, UnifiedPipelinesRunToCompletion)
+{
+    // The unified gate routes joins through the hetero module's
+    // semi-scan; serveMain must warm that module on every drive, or a
+    // placed join meets an unloaded module id and the run aborts.
+    serve::ServeConfig cfg;
+    cfg.clients = 4;
+    cfg.jobs_per_client = 30;
+    cfg.unified_pipelines = true;
+
+    sisc::Env env(ssd::defaultConfig(), 4);
+    serve::ServeReport rep = serve::runServe(env, cfg);
+
+    // Serving has no failed outcome: every admitted job completes.
+    const std::uint64_t admitted = rep.submitted - rep.rejected;
+    EXPECT_EQ(rep.submitted,
+              static_cast<std::uint64_t>(cfg.clients) *
+                  cfg.jobs_per_client);
+    EXPECT_GT(rep.completed, 0u);
+    EXPECT_EQ(admitted, rep.completed);
+}
+
 TEST(ServeSoak, ConfigFromEnvironment)
 {
     if (std::getenv("BISCUIT_CLIENTS") != nullptr ||
