@@ -3,8 +3,9 @@
  * Google-benchmark microbenchmarks of the framework's hot primitives
  * (real wall-clock time, unlike the simulated-time table/figure
  * benches): event queue churn, fiber switches, bounded queues, packet
- * serialization, the Boyer-Moore and pattern-matcher scanners, and
- * the runtime allocator.
+ * serialization, the byte-scan kernels (host grep, the pattern
+ * matcher and word count, over uniform bytes and a generated web
+ * log), and the runtime allocator.
  */
 
 #include <benchmark/benchmark.h>
@@ -16,6 +17,7 @@
 
 #include "fiber/fiber.h"
 #include "host/grep.h"
+#include "host/load_gen.h"
 #include "pm/pattern_matcher.h"
 #include "runtime/allocator.h"
 #include "sim/event_queue.h"
@@ -23,6 +25,7 @@
 #include "sisc/device_image.h"
 #include "sisc/env.h"
 #include "util/bounded_queue.h"
+#include "util/byte_scan.h"
 #include "util/packet.h"
 #include "util/rng.h"
 #include "util/serialize.h"
@@ -111,38 +114,93 @@ BM_PacketSerializePairVector(benchmark::State &state)
 }
 BENCHMARK(BM_PacketSerializePairVector);
 
-void
-BM_BoyerMooreScan(benchmark::State &state)
+/** Haystacks for the byte-scan benchmarks. */
+enum class Haystack
 {
-    Rng rng(seedFromEnv(5));
-    std::vector<std::uint8_t> hay(1 << 20);
-    for (auto &b : hay)
-        b = static_cast<std::uint8_t>('a' + rng.below(26));
-    host::BoyerMoore bm("needlepattern");
-    for (auto _ : state)
-        benchmark::DoNotOptimize(bm.count(hay.data(), hay.size()));
-    state.SetBytesProcessed(state.iterations() * hay.size());
+    /** Uniform a-z: the filter's first/last-byte candidates are rare. */
+    Uniform,
+    /** The serving tier's generated web log: ASCII text with frequent
+     *  first/last-byte candidates and planted needles. */
+    WebLog,
+};
+
+constexpr const char *kWebLogNeedle = "heisenbug";
+
+/** 2 MiB of @p kind bytes, built once per kind. */
+const std::vector<std::uint8_t> &
+haystack(Haystack kind)
+{
+    static const std::vector<std::uint8_t> uniform = [] {
+        Rng rng(seedFromEnv(5));
+        std::vector<std::uint8_t> hay(2_MiB);
+        for (auto &b : hay)
+            b = static_cast<std::uint8_t>('a' + rng.below(26));
+        return hay;
+    }();
+    static const std::vector<std::uint8_t> weblog = [] {
+        sisc::Env env;
+        host::generateWebLog(env.fs, "/weblog", 2_MiB, kWebLogNeedle, 97,
+                             seedFromEnv(14));
+        std::vector<std::uint8_t> hay(env.fs.size("/weblog"));
+        env.fs.peek("/weblog", 0, hay.size(), hay.data());
+        return hay;
+    }();
+    return kind == Haystack::Uniform ? uniform : weblog;
 }
-BENCHMARK(BM_BoyerMooreScan);
 
 void
-BM_PatternMatcherScan(benchmark::State &state)
+BM_BoyerMooreScan(benchmark::State &state, Haystack kind)
 {
-    Rng rng(seedFromEnv(6));
-    std::vector<std::uint8_t> page(16 << 10);
-    for (auto &b : page)
-        b = static_cast<std::uint8_t>('a' + rng.below(26));
+    const auto &hay = haystack(kind);
+    host::BoyerMoore bm(kind == Haystack::Uniform ? "needlepattern"
+                                                  : kWebLogNeedle);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(bm.count(hay.data(), 1_MiB));
+    state.SetBytesProcessed(state.iterations() * 1_MiB);
+}
+BENCHMARK_CAPTURE(BM_BoyerMooreScan, uniform, Haystack::Uniform);
+BENCHMARK_CAPTURE(BM_BoyerMooreScan, weblog, Haystack::WebLog);
+
+void
+BM_PatternMatcherScan(benchmark::State &state, Haystack kind)
+{
+    // One 16 KiB page per iteration, cycling through the haystack.
+    const auto &hay = haystack(kind);
+    constexpr std::size_t kPage = 16 << 10;
     pm::KeySet keys;
-    keys.addKey("1995-09");
-    keys.addKey("PROMO");
-    keys.addKey("BUILDING");
+    if (kind == Haystack::Uniform) {
+        keys.addKey("1995-09");
+        keys.addKey("PROMO");
+        keys.addKey("BUILDING");
+    } else {
+        keys.addKey(kWebLogNeedle);
+    }
     pm::PatternMatcher ip;
     ip.configure(keys);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(ip.scan(page.data(), page.size()));
-    state.SetBytesProcessed(state.iterations() * page.size());
+    std::size_t off = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(ip.scan(hay.data() + off, kPage));
+        off = (off + kPage) % (hay.size() - kPage + 1);
+    }
+    state.SetBytesProcessed(state.iterations() * kPage);
 }
-BENCHMARK(BM_PatternMatcherScan);
+BENCHMARK_CAPTURE(BM_PatternMatcherScan, uniform, Haystack::Uniform);
+BENCHMARK_CAPTURE(BM_PatternMatcherScan, weblog, Haystack::WebLog);
+
+/** host::wordCount's per-window work: one 1 MiB readahead window. */
+void
+BM_WordCount(benchmark::State &state)
+{
+    const auto &hay = haystack(Haystack::WebLog);
+    for (auto _ : state) {
+        scan::WordCounter wc;
+        wc.feed(hay.data(), 1_MiB);
+        benchmark::DoNotOptimize(wc.words());
+        benchmark::DoNotOptimize(wc.lines());
+    }
+    state.SetBytesProcessed(state.iterations() * 1_MiB);
+}
+BENCHMARK(BM_WordCount);
 
 void
 BM_AllocatorChurn(benchmark::State &state)

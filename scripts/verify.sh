@@ -4,7 +4,8 @@
 # outputs against the golden transcripts in bench/golden/, a trace
 # pass (fig10 with BISCUIT_TRACE: golden must still match, the JSON
 # must load, two runs must be byte-identical), an oracle pass (the
-# TPC-H suite's result rows against perfbench/reference.json), a
+# TPC-H suite's result rows and the serving tier's answers and event
+# log against perfbench/reference.json), a
 # multi-drive pass (fig10 at BISCUIT_DRIVES=4 against its own
 # golden — same rows and planner decisions, scale-out timing), a
 # serve pass (fig_serve vs its golden, two-run byte-identity,
@@ -42,8 +43,11 @@ if [[ "$run_perf_smoke" == 1 ]]; then
     echo
     echo "=== perf smoke: simulated outputs vs bench/golden ==="
     # bench.sh exits non-zero when any bench's simulated output
-    # drifts from its golden transcript.
-    scripts/bench.sh --no-build --out BENCH_wallclock.json
+    # drifts from its golden transcript. The report goes under build/:
+    # the committed BENCH_wallclock.json is bench.sh's baseline and is
+    # rewritten only on purpose (scripts/bench.sh --out
+    # BENCH_wallclock.json).
+    scripts/bench.sh --no-build --out build/bench_out/BENCH_wallclock.json
 
     echo
     echo "=== trace pass: fig10 with BISCUIT_TRACE ==="
@@ -60,7 +64,7 @@ if [[ "$run_perf_smoke" == 1 ]]; then
     echo "trace: golden match, JSON valid, two runs byte-identical"
 
     echo
-    echo "=== oracle pass: fig10 rows vs perfbench/reference.json ==="
+    echo "=== oracle pass: fig10 rows and serving answers vs perfbench/reference.json ==="
     # The fig10 golden prints speed-ups and planner notes but no rows.
     # perfbench's tpch_suite digests every query's result rows and
     # ticks and checks them against its committed reference.
@@ -73,6 +77,18 @@ if r["correct"] is not True or r["failed"] != 0:
     sys.exit("oracle: tpch_suite disagrees with perfbench/reference.json: "
              f"correct={r['correct']} failed={r['failed']}")
 print(f"oracle: {r['attempted']} query runs match the reference digests")
+PY
+    # serve_open_loop checks every job's answer (grep and word counts
+    # included) and digests the whole event log against the reference.
+    oracle=$(python3 perfbench/run.py --workload serve_open_loop \
+        --seconds 1 | tail -n 1)
+    python3 - "$oracle" <<'PY'
+import json, sys
+r = json.loads(sys.argv[1])
+if r["correct"] is not True or r["failed"] != 0:
+    sys.exit("oracle: serve_open_loop disagrees with its reference: "
+             f"correct={r['correct']} failed={r['failed']}")
+print(f"oracle: {r['attempted']} serving jobs answered correctly")
 PY
 
     echo

@@ -11,6 +11,7 @@
 #include "sisc/ssd.h"
 #include "slet/file.h"
 #include "slet/ssdlet.h"
+#include "util/byte_scan.h"
 
 namespace bisc::db {
 
@@ -35,7 +36,7 @@ workloadStatKey(const WorkloadSpec &spec)
 
 /**
  * Device word count: stream the file chunk-wise off the NAND and run
- * the exact whitespace state machine host::wordCount runs, charging
+ * the same scan::WordCounter host::wordCount runs, charging
  * the (pre-slowdown-scaled) tokenizer cost per byte on the device
  * core. Emits two counters — words, then lines.
  */
@@ -51,9 +52,7 @@ class WordCountLet
         const double cpu_ns_per_byte = arg<1>();
         const Bytes size = file.size();
         std::vector<std::uint8_t> chunk(32_KiB);
-        std::uint64_t words = 0;
-        std::uint64_t lines = 0;
-        bool in_word = false;
+        scan::WordCounter counter;
         for (Bytes off = 0; off < size;) {
             const Bytes want =
                 std::min<Bytes>(chunk.size(), size - off);
@@ -62,20 +61,11 @@ class WordCountLet
                 break;
             consumeCpu(static_cast<Tick>(
                 static_cast<double>(n) * cpu_ns_per_byte));
-            for (Bytes i = 0; i < n; ++i) {
-                const std::uint8_t c = chunk[i];
-                const bool space =
-                    c == ' ' || c == '\n' || c == '\t' || c == '\r';
-                if (c == '\n')
-                    ++lines;
-                if (!space && !in_word)
-                    ++words;
-                in_word = !space;
-            }
+            counter.feed(chunk.data(), n);
             off += n;
         }
-        out<0>().put(words);
-        out<0>().put(lines);
+        out<0>().put(counter.words());
+        out<0>().put(counter.lines());
     }
 };
 

@@ -1,6 +1,7 @@
 #include "host/grep.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "runtime/module.h"
 #include "sisc/application.h"
@@ -10,83 +11,39 @@
 #include "sisc/ssd.h"
 #include "slet/file.h"
 #include "slet/ssdlet.h"
+#include "util/byte_scan.h"
 
 namespace bisc::host {
 
 // ----- Boyer-Moore -----
 
 BoyerMoore::BoyerMoore(std::string pattern)
-    : pattern_(std::move(pattern)), bad_char_(256)
+    : pattern_(std::move(pattern))
 {
     BISC_ASSERT(!pattern_.empty(), "empty grep pattern");
-    const std::size_t m = pattern_.size();
-
-    // Bad-character rule: last index of each byte in the pattern.
-    std::fill(bad_char_.begin(), bad_char_.end(), -1);
-    for (std::size_t i = 0; i < m; ++i)
-        bad_char_[static_cast<std::uint8_t>(pattern_[i])] =
-            static_cast<std::ptrdiff_t>(i);
-
-    // Good-suffix rule (standard two-phase preprocessing).
-    good_suffix_.assign(m + 1, m);
-    std::vector<std::size_t> border(m + 1, 0);
-    std::size_t i = m, j = m + 1;
-    border[i] = j;
-    while (i > 0) {
-        while (j <= m && pattern_[i - 1] != pattern_[j - 1]) {
-            if (good_suffix_[j] == m)
-                good_suffix_[j] = j - i;
-            j = border[j];
-        }
-        --i;
-        --j;
-        border[i] = j;
-    }
-    j = border[0];
-    for (i = 0; i <= m; ++i) {
-        if (good_suffix_[i] == m)
-            good_suffix_[i] = j;
-        if (i == j)
-            j = border[j];
-    }
 }
 
 std::optional<std::size_t>
 BoyerMoore::find(const std::uint8_t *data, std::size_t len,
                  std::size_t start) const
 {
-    const std::size_t m = pattern_.size();
-    if (len < m)
+    if (start >= len)
         return std::nullopt;
-    std::size_t s = start;
-    while (s + m <= len) {
-        std::size_t j = m;
-        while (j > 0 &&
-               pattern_[j - 1] == static_cast<char>(data[s + j - 1]))
-            --j;
-        if (j == 0)
-            return s;
-        std::ptrdiff_t bc =
-            static_cast<std::ptrdiff_t>(j) - 1 -
-            bad_char_[data[s + j - 1]];
-        std::size_t shift = std::max<std::ptrdiff_t>(
-            1, std::max<std::ptrdiff_t>(
-                   bc, static_cast<std::ptrdiff_t>(good_suffix_[j])));
-        s += shift;
-    }
-    return std::nullopt;
+    const std::size_t at = scan::find(
+        data + start, len - start,
+        reinterpret_cast<const std::uint8_t *>(pattern_.data()),
+        pattern_.size());
+    if (at == scan::kNpos)
+        return std::nullopt;
+    return start + at;
 }
 
 std::uint64_t
 BoyerMoore::count(const std::uint8_t *data, std::size_t len) const
 {
-    std::uint64_t n = 0;
-    std::size_t pos = 0;
-    while (auto hit = find(data, len, pos)) {
-        ++n;
-        pos = *hit + 1;
-    }
-    return n;
+    return scan::count(
+        data, len, reinterpret_cast<const std::uint8_t *>(pattern_.data()),
+        pattern_.size());
 }
 
 // ----- Host streaming scans -----
@@ -130,32 +87,21 @@ grepConvOn(HostSystem &host, std::uint32_t drive,
     GrepResult result;
     const std::size_t overlap = pattern.size() - 1;
 
-    std::vector<std::uint8_t> carry;  // tail of the previous chunk
+    // Matches straddling a chunk boundary: the seam is the previous
+    // chunk's last m-1 bytes plus this chunk's first m-1, so every hit
+    // in it starts before the boundary and ends after it.
+    std::vector<std::uint8_t> seam;
     hostStreamScan(
         host, drive, path, result.bytes_scanned, result.elapsed,
         [&](const std::uint8_t *data, Bytes n) {
             result.matches += bm.count(data, n);
-            // Matches straddling the chunk boundary: search the seam
-            // and keep only hits spanning it.
-            if (!carry.empty()) {
-                std::vector<std::uint8_t> seam = carry;
+            if (!seam.empty()) {
                 seam.insert(seam.end(), data,
                             data + std::min<Bytes>(overlap, n));
-                std::size_t boundary = carry.size();
-                std::size_t pos = 0;
-                while (auto hit = bm.find(seam.data(), seam.size(),
-                                          pos)) {
-                    if (*hit < boundary &&
-                        *hit + bm.pattern().size() > boundary) {
-                        ++result.matches;
-                    }
-                    pos = *hit + 1;
-                }
+                result.matches += bm.count(seam.data(), seam.size());
             }
-            if (overlap > 0) {
-                Bytes keep = std::min<Bytes>(overlap, n);
-                carry.assign(data + n - keep, data + n);
-            }
+            const Bytes keep = std::min<Bytes>(overlap, n);
+            seam.assign(data + n - keep, data + n);
         });
     return result;
 }
@@ -268,21 +214,14 @@ wordCount(HostSystem &host, std::uint32_t drive,
           const std::string &path)
 {
     WordCountResult result;
-    bool in_word = false;
-    hostStreamScan(
-        host, drive, path, result.bytes_scanned, result.elapsed,
-        [&](const std::uint8_t *data, Bytes n) {
-            for (Bytes i = 0; i < n; ++i) {
-                const std::uint8_t c = data[i];
-                const bool space =
-                    c == ' ' || c == '\n' || c == '\t' || c == '\r';
-                if (c == '\n')
-                    ++result.lines;
-                if (!space && !in_word)
-                    ++result.words;
-                in_word = !space;
-            }
-        });
+    scan::WordCounter counter;
+    hostStreamScan(host, drive, path, result.bytes_scanned,
+                   result.elapsed,
+                   [&](const std::uint8_t *data, Bytes n) {
+                       counter.feed(data, n);
+                   });
+    result.words = counter.words();
+    result.lines = counter.lines();
     return result;
 }
 

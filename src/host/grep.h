@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "host/host_system.h"
 #include "runtime/runtime.h"
@@ -20,8 +19,10 @@
 namespace bisc::host {
 
 /**
- * Boyer-Moore exact string search (bad-character + good-suffix
- * rules), the algorithm Linux grep uses (paper ref [33]).
+ * The host grep's exact string search. Named after the algorithm
+ * Linux grep uses (paper ref [33]), whose cost the host charges per
+ * byte (HostConfig::grep_ns_per_byte); the functional search itself
+ * runs on the shared byte-scan kernel (util/byte_scan.h).
  */
 class BoyerMoore
 {
@@ -41,8 +42,6 @@ class BoyerMoore
 
   private:
     std::string pattern_;
-    std::vector<std::ptrdiff_t> bad_char_;
-    std::vector<std::size_t> good_suffix_;
 };
 
 struct GrepResult

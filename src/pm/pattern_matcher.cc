@@ -1,9 +1,9 @@
 #include "pm/pattern_matcher.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "obs/metrics.h"
+#include "util/byte_scan.h"
 
 namespace bisc::pm {
 
@@ -20,18 +20,15 @@ KeySet::addKey(const std::string &key)
 
 namespace {
 
-/** memmem-style search; returns offset or npos. */
+static_assert(scan::kNpos == std::string::npos);
+
+/** First offset of @p key in the window, or npos. */
 std::size_t
 findKey(const std::uint8_t *data, std::size_t len, const std::string &key)
 {
-    if (key.size() > len)
-        return std::string::npos;
-    const auto *k = reinterpret_cast<const std::uint8_t *>(key.data());
-    const void *hit = memmem(data, len, k, key.size());
-    if (hit == nullptr)
-        return std::string::npos;
-    return static_cast<std::size_t>(
-        static_cast<const std::uint8_t *>(hit) - data);
+    return scan::find(data, len,
+                      reinterpret_cast<const std::uint8_t *>(key.data()),
+                      key.size());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -239,6 +240,33 @@ TEST_F(HostTest, GrepConvFindsPlantedNeedles)
     EXPECT_EQ(r.matches, ref);
     EXPECT_EQ(r.bytes_scanned, size);
     EXPECT_GT(r.elapsed, 0u);
+}
+
+TEST_F(HostTest, GrepConvCountsMatchesAcrossReadaheadWindows)
+{
+    // grepConv hands the scanner 1 MiB windows. Plant a run of
+    // overlapping "abab" hits through the first window seam, one that
+    // ends exactly at the second seam, and one at the end of the file.
+    const Bytes size = 2_MiB + 100;
+    std::vector<std::uint8_t> bytes(size, 'x');
+    auto plant = [&](Bytes at, const std::string &s) {
+        std::copy(s.begin(), s.end(), bytes.begin() + at);
+    };
+    plant(1_MiB - 9, "abababababab");  // hits at -9 .. -1, step 2
+    plant(2_MiB - 4, "abab");
+    plant(size - 4, "abab");
+    env_.fs.populate("/seams", bytes.data(), bytes.size());
+
+    std::uint64_t ref = 0;
+    for (Bytes i = 0; i + 4 <= size; ++i)
+        ref += std::equal(bytes.begin() + i, bytes.begin() + i + 4,
+                          std::string("abab").begin());
+    ASSERT_EQ(ref, 7u);
+
+    GrepResult r;
+    env_.run([&] { r = grepConv(host_, "/seams", "abab"); });
+    EXPECT_EQ(r.matches, ref);
+    EXPECT_EQ(r.bytes_scanned, size);
 }
 
 TEST_F(HostTest, GrepBiscuitMatchesConvModuloPageSeams)

@@ -208,6 +208,22 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FsProperty,
 class MatcherProperty : public ::testing::TestWithParam<std::uint64_t>
 {};
 
+/**
+ * Every start of @p key in @p hay by brute force. The matcher and
+ * host::BoyerMoore share one search kernel, so each is checked against
+ * this reference rather than against the other.
+ */
+std::vector<std::size_t>
+naiveHits(const std::vector<std::uint8_t> &hay, const std::string &key)
+{
+    std::vector<std::size_t> hits;
+    for (std::size_t i = 0; i + key.size() <= hay.size(); ++i) {
+        if (std::memcmp(hay.data() + i, key.data(), key.size()) == 0)
+            hits.push_back(i);
+    }
+    return hits;
+}
+
 TEST_P(MatcherProperty, AgreesWithBoyerMoore)
 {
     Rng rng(seedFromEnv(GetParam()));
@@ -227,12 +243,18 @@ TEST_P(MatcherProperty, AgreesWithBoyerMoore)
         pm::PatternMatcher ip;
         ip.configure(ks);
         host::BoyerMoore bm(key);
+        const auto ref = naiveHits(hay, key);
 
         auto hits = ip.findAll(hay.data(), hay.size());
-        EXPECT_EQ(hits.size(), bm.count(hay.data(), hay.size()))
+        EXPECT_EQ(hits, ref) << "key " << key;
+        EXPECT_EQ(bm.count(hay.data(), hay.size()), ref.size())
             << "key " << key;
-        EXPECT_EQ(ip.matches(hay.data(), hay.size()),
-                  bm.find(hay.data(), hay.size()).has_value());
+        EXPECT_EQ(ip.matches(hay.data(), hay.size()), !ref.empty());
+        const auto first = bm.find(hay.data(), hay.size());
+        EXPECT_EQ(first.has_value(), !ref.empty());
+        if (first && !ref.empty()) {
+            EXPECT_EQ(*first, ref.front()) << "key " << key;
+        }
     }
 }
 
