@@ -85,10 +85,9 @@ void
 printOpBreakdown(const std::vector<bisc::tpch::QueryRun> &runs)
 {
     using bisc::Tick;
-    static const char *const ops[] = {"conv_scan",   "ndp_scan",
-                                      "placed_scan", "sample",
-                                      "bnl_join",    "group_by",
-                                      "filter"};
+    static const char *const ops[] = {"conv_scan", "ndp_scan",
+                                      "sample",    "bnl_join",
+                                      "group_by",  "filter"};
     std::fprintf(stderr,
                  "\nper-operator sim time (ms; wall-to-wall, "
                  "overlapping ops double-charge)\n");

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <numeric>
 #include <string_view>
 #include <unordered_map>
@@ -424,89 +425,6 @@ RegisterSSDLet("minidb_prune", "idScanFilterRuns", ScanFilterRunsLet);
 RegisterSSDLet("minidb_pipe", "idRecheck", RecheckLet);
 
 /**
- * Lazily install and load the minidb module on every drive of the
- * array, keeping the per-drive module ids resident in the MiniDb
- * instance (dynamic loading once, many instantiations — exactly the
- * lifecycle the Biscuit runtime is built for). Any shard of a table
- * can then instantiate the scan/sample SSDlets on its own drive.
- */
-void
-loadMinidbModules(MiniDb &db)
-{
-    if (db.minidb_module_loaded)
-        return;
-    std::uint32_t drives = db.host().driveCount();
-    db.minidb_drive_modules.clear();
-    db.minidb_drive_modules.reserve(drives);
-    for (std::uint32_t d = 0; d < drives; ++d) {
-        sisc::SSD ssd(db.env().array.drive(d).runtime);
-        auto &fs = ssd.runtime().fs();
-        if (!fs.exists("/var/isc/slets/minidb.slet")) {
-            rt::ModuleRegistry::global().installModuleFile(
-                fs, "/var/isc/slets/minidb.slet", "minidb");
-        }
-        db.minidb_drive_modules.push_back(ssd.loadModule(
-            sisc::File(ssd, "/var/isc/slets/minidb.slet")));
-    }
-    db.minidb_module = db.minidb_drive_modules[0];
-    db.minidb_module_loaded = true;
-}
-
-/**
- * Lazily install and load the "minidb_prune" module (the run-list
- * scan SSDlet) on every drive; first pruned offload pays the load,
- * exactly like loadMinidbModules for the baseline module.
- */
-void
-loadPruneModules(MiniDb &db)
-{
-    if (db.prune_module_loaded)
-        return;
-    std::uint32_t drives = db.host().driveCount();
-    db.prune_drive_modules.clear();
-    db.prune_drive_modules.reserve(drives);
-    for (std::uint32_t d = 0; d < drives; ++d) {
-        sisc::SSD ssd(db.env().array.drive(d).runtime);
-        auto &fs = ssd.runtime().fs();
-        if (!fs.exists("/var/isc/slets/minidb_prune.slet")) {
-            rt::ModuleRegistry::global().installModuleFile(
-                fs, "/var/isc/slets/minidb_prune.slet",
-                "minidb_prune");
-        }
-        db.prune_drive_modules.push_back(ssd.loadModule(
-            sisc::File(ssd, "/var/isc/slets/minidb_prune.slet")));
-    }
-    db.prune_module_loaded = true;
-}
-
-/**
- * Lazily install and load the "minidb_pipe" module (the exact
- * re-check SSDlet) on every drive; the first pipelined offload pays
- * the load, exactly like the baseline and prune modules.
- */
-void
-loadPipeModules(MiniDb &db)
-{
-    if (db.pipe_module_loaded)
-        return;
-    std::uint32_t drives = db.host().driveCount();
-    db.pipe_drive_modules.clear();
-    db.pipe_drive_modules.reserve(drives);
-    for (std::uint32_t d = 0; d < drives; ++d) {
-        sisc::SSD ssd(db.env().array.drive(d).runtime);
-        auto &fs = ssd.runtime().fs();
-        if (!fs.exists("/var/isc/slets/minidb_pipe.slet")) {
-            rt::ModuleRegistry::global().installModuleFile(
-                fs, "/var/isc/slets/minidb_pipe.slet",
-                "minidb_pipe");
-        }
-        db.pipe_drive_modules.push_back(ssd.loadModule(
-            sisc::File(ssd, "/var/isc/slets/minidb_pipe.slet")));
-    }
-    db.pipe_module_loaded = true;
-}
-
-/**
  * Matching rows of one shard, decoded into one batch, with the
  * (global page, row range) runs that let a multi-shard fan-out
  * restore global row order — making query results invariant in the
@@ -612,16 +530,10 @@ forEachShard(MiniDb &db, Table &table, const char *what,
                 work);
 }
 
-std::vector<std::string>
-keyStrings(const pm::KeySet &keys)
-{
-    return keys.keys();
-}
-
 /**
  * Zone-map prune of @p table for this scan, when the statistics
- * layer is enabled and applicable. pruned=false leaves both scan
- * paths on their historical full-table code, tick for tick.
+ * layer is enabled and applicable. pruned=false leaves every shard
+ * on its historical whole-shard code, tick for tick.
  */
 struct ScanPrune
 {
@@ -660,320 +572,60 @@ notePrune(MiniDb &db, DbStats &stats, const PrunePlan &plan)
               plan.pages_total - plan.pages_selected);
 }
 
-/** Conventional scan: stream the (possibly pruned) table to host. */
-ScanOutcome
-convScan(MiniDb &db, Table &table, const ExprPtr &pred,
-         DbStats &stats)
+/** Where one shard of a scan runs its matcher and its exact re-check. */
+enum class Shape
 {
-    OpTimer timer(db, stats, "conv_scan");
-    ScanOutcome out;
-    auto &host = db.host();
-    const Bytes page_size = table.pageSize();
-    const ScanPrune sp = scanPrune(db, table, pred);
+    Host,     ///< stream the shard's pages, re-check on the host
+    Device,   ///< matcher SSDlet on the drive, re-check on the host
+    Chained,  ///< matcher and idRecheck chained inside the drive
+};
 
-    // One streaming pass per shard (drives stream concurrently); the
-    // fan-out collects (global page, rows) fragments that the merge
-    // below restores to global page order. A pruned scan issues one
-    // stream per surviving page run instead — the window callback is
-    // oblivious, since stream offsets are absolute file offsets.
-    std::uint64_t matched_pages = 0;
-    std::vector<ShardRows> per_shard = shardRows(table);
-    auto onWindow = [&](std::uint32_t s, Bytes off,
-                        const std::uint8_t *data, Bytes len) {
-        host.consumeCpuPerByte(len,
-                               host.config().db_scan_ns_per_byte);
-        for (Bytes p = 0; p < len; p += page_size) {
-            std::uint64_t page_idx =
-                table.globalPage(s, (off + p) / page_size);
-            Bytes n = std::min(page_size, len - p);
-            // Filter on the packed slots; decode only matches.
-            if (collectMatches(table, pred, data + p, n, page_idx,
-                               per_shard[s], stats))
-                ++matched_pages;
-        }
+/**
+ * The shape of shard @p s of @p nshards for decision @p d, whose plan
+ * the launch checkpoint may have replaced by @p plan. No plan: Host,
+ * or Device when the paper heuristic offloads. A per-shard cost-model
+ * plan: sites[s], never Chained. A pipeline plan: the site pair of
+ * scan stage s and re-check stage n+s, Chained when both sit on the
+ * same drive.
+ */
+Shape
+shardShape(const PlanDecision &d, const PlacementPlan &plan,
+           std::uint32_t nshards, std::uint32_t s)
+{
+    if (!plan.valid)
+        return d.offload ? Shape::Device : Shape::Host;
+    auto siteOf = [&](std::uint32_t stage) {
+        return stage < plan.sites.size() ? plan.sites[stage]
+                                         : Site{true, 0};
     };
-    forEachShard(db, table, "db.convscan", [&](std::uint32_t s) {
-        if (!sp.pruned) {
-            Bytes size = table.shardPageCount(s) * page_size;
-            host.streamReadOn(
-                s, table.file(), 0, size, 1_MiB,
-                [&, s](Bytes off, const std::uint8_t *data,
-                       Bytes len) { onWindow(s, off, data, len); });
-            return;
-        }
-        for (const auto &[first, count] :
-             shardPruneRuns(table, sp.plan, s)) {
-            host.streamReadOn(
-                s, table.file(), first * page_size,
-                count * page_size, 1_MiB,
-                [&, s](Bytes off, const std::uint8_t *data,
-                       Bytes len) { onWindow(s, off, data, len); });
-        }
-    });
-    out.batch = mergeShardRows(std::move(per_shard));
-    if (sp.plan.usable)
-        notePrune(db, stats, sp.plan);
-    stats.pages_to_host +=
-        sp.pruned ? sp.plan.pages_selected : table.pageCount();
-    ++stats.conv_scans;
-    if (table.pageCount() > 0) {
-        out.measured_selectivity =
-            static_cast<double>(matched_pages) /
-            static_cast<double>(table.pageCount());
-    }
-    out.note = out.note.empty() ? "conventional scan" : out.note;
-    return out;
+    const Site scan = siteOf(s);
+    if (scan.on_host)
+        return Shape::Host;
+    const Site re =
+        d.graph.stages.empty() ? Site{true, 0} : siteOf(nshards + s);
+    return !re.on_host && re.drive == scan.drive ? Shape::Chained
+                                                 : Shape::Device;
 }
 
-/** NDP scan: page filter on the device, exact re-check on the host. */
-ScanOutcome
-ndpScan(MiniDb &db, Table &table, const ExprPtr &pred,
-        const pm::KeySet &keys, DbStats &stats)
+/** |predicted - measured| as a percentage of measured (> 0). */
+double
+absErrPct(Tick predicted, Tick measured)
 {
-    OpTimer timer(db, stats, "ndp_scan");
-    ScanOutcome out;
-    out.used_ndp = true;
-    auto &host = db.host();
-    const Bytes page_size = table.pageSize();
-    const ScanPrune sp = scanPrune(db, table, pred);
-
-    loadMinidbModules(db);
-    if (sp.pruned)
-        loadPruneModules(db);
-
-    // One scan/filter SSDlet per shard, each on its own drive: the
-    // SSDlet streams the shard's surviving page runs (local page
-    // space; the whole shard when unpruned) through that drive's
-    // channel matchers while the host drains each drive on a
-    // dedicated fiber. The merge restores global page order.
-    std::uint64_t shipped_pages = 0;
-    std::vector<ShardRows> per_shard = shardRows(table);
-    forEachShard(db, table, "db.ndpscan", [&](std::uint32_t s) {
-        sisc::SSD ssd(db.env().array.drive(s).runtime);
-        sisc::Application app(ssd);
-        auto makeScan = [&] {
-            if (!sp.pruned) {
-                // The historical full-shard SSDlet, tick for tick.
-                return sisc::SSDLet(
-                    app, db.minidb_drive_modules[s], "idScanFilter",
-                    std::make_tuple(
-                        slet::File(table.file()), keyStrings(keys),
-                        static_cast<std::uint64_t>(page_size),
-                        table.shardPageCount(s)));
-            }
-            std::vector<std::uint64_t> runs;
-            for (const auto &[first, count] :
-                 shardPruneRuns(table, sp.plan, s)) {
-                runs.push_back(first);
-                runs.push_back(count);
-            }
-            return sisc::SSDLet(
-                app, db.prune_drive_modules[s], "idScanFilterRuns",
-                std::make_tuple(slet::File(table.file()),
-                                keyStrings(keys),
-                                static_cast<std::uint64_t>(page_size),
-                                runs));
-        };
-        sisc::SSDLet scan = makeScan();
-        auto port = app.connectTo<Packet>(scan.out(0));
-        app.start();
-
-        Packet batch;
-        std::vector<std::uint8_t> data;  // reused across pages
-        while (port.get(batch)) {
-            auto n = batch.get<std::uint32_t>();
-            for (std::uint32_t i = 0; i < n; ++i) {
-                auto local_page = batch.get<std::uint64_t>();
-                auto len = batch.get<std::uint32_t>();
-                data.resize(len);
-                batch.getBytes(data.data(), len);
-                std::uint64_t page_idx =
-                    table.globalPage(s, local_page);
-
-                // Exact predicate evaluation on the returned page,
-                // straight off the packed slots.
-                host.consumeCpuPerByte(
-                    len, host.config().db_scan_ns_per_byte);
-                collectMatches(table, pred, data.data(), len,
-                               page_idx, per_shard[s], stats);
-                ++stats.pages_to_host;
-                ++shipped_pages;
-            }
-        }
-        app.wait();
-    });
-    out.batch = mergeShardRows(std::move(per_shard));
-    if (sp.plan.usable)
-        notePrune(db, stats, sp.plan);
-    stats.pages_scanned_device +=
-        sp.pruned ? sp.plan.pages_selected : table.pageCount();
-    ++stats.ndp_scans;
-    if (table.pageCount() > 0) {
-        out.measured_selectivity =
-            static_cast<double>(shipped_pages) /
-            static_cast<double>(table.pageCount());
-    }
-    return out;
+    return 100.0 *
+           std::abs(static_cast<double>(predicted) -
+                    static_cast<double>(measured)) /
+           static_cast<double>(measured);
 }
 
 /**
- * Cost-model-placed scan: each shard runs where the placer put it —
- * its drive's scan/filter SSDlet or the host streaming path — with
- * every shard on its own fiber so heterogeneous placements overlap.
- * Row output is merged to global page order, so results are
- * byte-identical across placements (and to both legacy paths).
+ * db.place.* metrics of one placed scan, plus the pipeline edge
+ * counters when the plan has a stage graph (BISCUIT_OBS-gated; never
+ * read back into any timing or placement decision).
  */
-ScanOutcome
-placedScan(MiniDb &db, Table &table, const ExprPtr &pred,
-           const pm::KeySet &keys, const PlacementPlan &plan,
-           DbStats &stats)
+void
+notePlacement(MiniDb &db, const PlacementPlan &plan, bool has_graph,
+              Tick measured)
 {
-    OpTimer timer(db, stats, "placed_scan");
-    const Tick begin = db.env().kernel.now();
-    ScanOutcome out;
-    const bool any_device = plan.anyDevice();
-    out.used_ndp = any_device;
-    auto &host = db.host();
-    const Bytes page_size = table.pageSize();
-    const ScanPrune sp = scanPrune(db, table, pred);
-
-    if (any_device) {
-        loadMinidbModules(db);
-        if (sp.pruned)
-            loadPruneModules(db);
-    }
-
-    // Crossed-the-interface pages: a host shard streams all of its
-    // (surviving) pages; a device shard ships only matches. Matched
-    // pages (>= 1 row passing the exact re-check) are counted
-    // placement-independently and fed back to the placer.
-    std::uint64_t crossed_pages = 0;
-    std::uint64_t matched_pages = 0;
-    std::vector<ShardRows> per_shard = shardRows(table);
-
-    auto hostShard = [&](std::uint32_t s) {
-        auto onWindow = [&](Bytes off, const std::uint8_t *data,
-                            Bytes len) {
-            host.consumeCpuPerByte(
-                len, host.config().db_scan_ns_per_byte);
-            for (Bytes p = 0; p < len; p += page_size) {
-                std::uint64_t page_idx =
-                    table.globalPage(s, (off + p) / page_size);
-                Bytes n = std::min(page_size, len - p);
-                if (collectMatches(table, pred, data + p, n, page_idx,
-                                   per_shard[s], stats))
-                    ++matched_pages;
-            }
-        };
-        if (!sp.pruned) {
-            Bytes size = table.shardPageCount(s) * page_size;
-            stats.pages_to_host += table.shardPageCount(s);
-            crossed_pages += table.shardPageCount(s);
-            host.streamReadOn(s, table.file(), 0, size, 1_MiB,
-                              onWindow);
-            return;
-        }
-        for (const auto &[first, count] :
-             shardPruneRuns(table, sp.plan, s)) {
-            stats.pages_to_host += count;
-            crossed_pages += count;
-            host.streamReadOn(s, table.file(), first * page_size,
-                              count * page_size, 1_MiB, onWindow);
-        }
-    };
-
-    auto deviceShard = [&](std::uint32_t s) {
-        sisc::SSD ssd(db.env().array.drive(s).runtime);
-        sisc::Application app(ssd);
-        auto makeScan = [&] {
-            if (!sp.pruned) {
-                return sisc::SSDLet(
-                    app, db.minidb_drive_modules[s], "idScanFilter",
-                    std::make_tuple(
-                        slet::File(table.file()), keyStrings(keys),
-                        static_cast<std::uint64_t>(page_size),
-                        table.shardPageCount(s)));
-            }
-            std::vector<std::uint64_t> runs;
-            for (const auto &[first, count] :
-                 shardPruneRuns(table, sp.plan, s)) {
-                runs.push_back(first);
-                runs.push_back(count);
-            }
-            return sisc::SSDLet(
-                app, db.prune_drive_modules[s], "idScanFilterRuns",
-                std::make_tuple(slet::File(table.file()),
-                                keyStrings(keys),
-                                static_cast<std::uint64_t>(page_size),
-                                runs));
-        };
-        sisc::SSDLet scan = makeScan();
-        auto port = app.connectTo<Packet>(scan.out(0));
-        app.start();
-
-        std::uint64_t shard_pages = 0;
-        if (sp.pruned) {
-            for (const auto &[first, count] :
-                 shardPruneRuns(table, sp.plan, s))
-                shard_pages += count;
-        } else {
-            shard_pages = table.shardPageCount(s);
-        }
-        stats.pages_scanned_device += shard_pages;
-
-        Packet batch;
-        std::vector<std::uint8_t> data;  // reused across pages
-        while (port.get(batch)) {
-            auto n = batch.get<std::uint32_t>();
-            for (std::uint32_t i = 0; i < n; ++i) {
-                auto local_page = batch.get<std::uint64_t>();
-                auto len = batch.get<std::uint32_t>();
-                data.resize(len);
-                batch.getBytes(data.data(), len);
-                std::uint64_t page_idx =
-                    table.globalPage(s, local_page);
-                host.consumeCpuPerByte(
-                    len, host.config().db_scan_ns_per_byte);
-                if (collectMatches(table, pred, data.data(), len,
-                                   page_idx, per_shard[s], stats))
-                    ++matched_pages;
-                ++stats.pages_to_host;
-                ++crossed_pages;
-            }
-        }
-        app.wait();
-    };
-
-    forEachShard(db, table, "db.placedscan", [&](std::uint32_t s) {
-        if (s < plan.sites.size() && !plan.sites[s].on_host)
-            deviceShard(s);
-        else
-            hostShard(s);
-    });
-    out.batch = mergeShardRows(std::move(per_shard));
-    if (sp.plan.usable)
-        notePrune(db, stats, sp.plan);
-    if (any_device)
-        ++stats.ndp_scans;
-    else
-        ++stats.conv_scans;
-    if (table.pageCount() > 0) {
-        out.measured_selectivity =
-            static_cast<double>(crossed_pages) /
-            static_cast<double>(table.pageCount());
-        // Feedback for the next placement of this same scan: the
-        // measured matched-page fraction supersedes the histogram
-        // estimate, which cannot see row clustering.
-        db.matched_page_frac[scanStatKey(table, keys)] =
-            static_cast<double>(matched_pages) /
-            static_cast<double>(table.pageCount());
-    }
-    out.placement = plan.describe();
-    out.predicted_ticks = plan.predicted;
-    out.measured_ticks = db.env().kernel.now() - begin;
-
-    // db.place.* metrics (BISCUIT_OBS-gated; never read back into
-    // any timing or placement decision).
     auto &obs = db.env().kernel.obs();
     std::uint64_t dev_stages = 0;
     for (const Site &site : plan.sites)
@@ -988,85 +640,90 @@ placedScan(MiniDb &db, Table &table, const ExprPtr &pred,
     OBS_COUNT(obs.metrics().counter("db.place.predicted_us", "us"),
               plan.predicted / 1000);
     OBS_COUNT(obs.metrics().counter("db.place.measured_us", "us"),
-              out.measured_ticks / 1000);
-    if (out.measured_ticks > 0) {
-        const double err =
-            100.0 *
-            std::abs(static_cast<double>(plan.predicted) -
-                     static_cast<double>(out.measured_ticks)) /
-            static_cast<double>(out.measured_ticks);
+              measured / 1000);
+    if (has_graph) {
+        OBS_COUNT(obs.metrics().counter(
+                      "db.place.pipeline.edges_priced", "edges"),
+                  plan.edges_priced);
+        OBS_COUNT(obs.metrics().counter(
+                      "db.place.pipeline.edge_predicted_us", "us"),
+                  plan.edge_ticks / 1000);
+    }
+    if (measured > 0) {
         OBS_HIST(obs.metrics().histogram(
                      "db.place.abs_err_pct", "pct",
                      {1, 2, 5, 10, 20, 35, 50, 75, 100}),
-                 static_cast<std::uint64_t>(err));
+                 static_cast<std::uint64_t>(
+                     absErrPct(plan.predicted, measured)));
     }
-    return out;
 }
 
 /**
- * Pipeline-placed scan (PlannerConfig::use_pipeline): the placer
- * assigned every stage of the scan DAG — per-shard matcher scans
- * [0, n), per-shard exact re-checks [n, 2n), host merge 2n — and this
- * fan-out runs each shard in the shape its pair of sites dictates:
+ * The one scan body: every shard runs on its own fiber (inline when
+ * there is one) in the shape shardShape() gives it, each reading its
+ * (possibly zone-map-pruned) page runs:
  *
- *   (host, host):     the conventional streaming path;
- *   (device, host):   matcher on the drive, re-check on the host
- *                     (the PR 8 placed shape);
- *   (device, device): matcher and re-check chained in-drive through
- *                     the typed FBP port — one application, one core
- *                     slot, only matching *rows* ever cross the HIL.
+ *   Host:    the drive streams the pages to the host, which re-checks;
+ *   Device:  the drive's matcher SSDlet ships matching *pages*, the
+ *            host re-checks them;
+ *   Chained: matcher and re-check chained in-drive through the typed
+ *            FBP port — one application, one core slot, only matching
+ *            *rows* ever cross the HIL.
  *
  * Rows are merged to global page order, so results are byte-identical
- * across all three shapes (and to both legacy paths).
+ * across shapes and drive counts. A placed scan (d.plan.valid) also
+ * passes the session's launch checkpoint, feeds the matched-page
+ * fraction back to the placer and reports predicted-vs-measured.
+ *
+ * The body makes no heap allocation beyond those its shapes need (no
+ * per-scan shape list, no run list for an unpruned shard, no boxed
+ * window callback). The scan's row batches are the process's largest
+ * allocations, and a small block left live among them decides whether
+ * their memory is reused by the next scan or returned to the kernel
+ * and faulted in again.
  */
 ScanOutcome
-pipelinedScan(MiniDb &db, Table &table, const ExprPtr &pred,
-              const pm::KeySet &keys, const PlacementPlan &plan_in,
-              const PipelineGraph &graph, DbStats &stats,
-              int session_query = -1)
+runScan(MiniDb &db, Table &table, const ExprPtr &pred,
+        const PlanDecision &d, DbStats &stats)
 {
-    OpTimer timer(db, stats, "pipelined_scan");
-    const Tick begin = db.env().kernel.now();
-    ScanOutcome out;
-
     // Launch checkpoint for session-planned scans: the co-tenant load
     // may have drifted since the plan was admitted (the caller could
     // have queued behind admission control); re-price the still-
     // unlaunched stages against a fresh snapshot, then commit.
-    PlacementPlan plan = plan_in;
-    if (session_query >= 0 && db.place_session != nullptr) {
-        db.place_session->maybeReplan(session_query);
-        plan = db.place_session->plan(session_query);
-        db.place_session->markLaunched(session_query);
+    PlacementPlan plan = d.plan;
+    const bool in_session =
+        plan.valid && d.session_query >= 0 && db.place_session != nullptr;
+    if (in_session) {
+        db.place_session->maybeReplan(d.session_query);
+        plan = db.place_session->plan(d.session_query);
+        db.place_session->markLaunched(d.session_query);
     }
-    const bool any_device = plan.anyDevice();
+    const std::uint32_t nshards = table.shardCount();
+    auto shapeOf = [&](std::uint32_t s) {
+        return shardShape(d, plan, nshards, s);
+    };
+    bool any_device = false;
+    bool any_chained = false;
+    for (std::uint32_t s = 0; s < nshards; ++s) {
+        any_device = any_device || shapeOf(s) != Shape::Host;
+        any_chained = any_chained || shapeOf(s) == Shape::Chained;
+    }
+
+    OpTimer timer(db, stats, any_device ? "ndp_scan" : "conv_scan");
+    const Tick begin = db.env().kernel.now();
+    ScanOutcome out;
     out.used_ndp = any_device;
     auto &host = db.host();
     const Bytes page_size = table.pageSize();
     const Bytes row_width = table.schema().rowWidth();
-    const std::uint32_t nshards = table.shardCount();
     const ScanPrune sp = scanPrune(db, table, pred);
 
-    auto siteOf = [&](std::uint32_t stage) {
-        return stage < plan.sites.size() ? plan.sites[stage]
-                                         : Site{true, 0};
-    };
-    auto chained = [&](std::uint32_t s) {
-        const Site scan = siteOf(s);
-        const Site re = siteOf(nshards + s);
-        return !scan.on_host && !re.on_host &&
-               scan.drive == re.drive;
-    };
-
-    bool any_chained = false;
-    for (std::uint32_t s = 0; s < nshards; ++s)
-        any_chained = any_chained || chained(s);
     if (any_device) {
-        loadMinidbModules(db);
+        loadOnEveryDrive(db, "minidb", db.minidb_drive_modules);
         if (sp.pruned)
-            loadPruneModules(db);
+            loadOnEveryDrive(db, "minidb_prune", db.prune_drive_modules);
         if (any_chained)
-            loadPipeModules(db);
+            loadOnEveryDrive(db, "minidb_pipe", db.pipe_drive_modules);
     }
 
     // The partial page (fewer than rowsPerPage rows) is always the
@@ -1079,9 +736,33 @@ pipelinedScan(MiniDb &db, Table &table, const ExprPtr &pred,
     const std::uint64_t last_page =
         table.pageCount() == 0 ? 0 : table.pageCount() - 1;
 
+    // Crossed-the-interface pages: a Host shard streams all of its
+    // (surviving) pages, a Device shard ships only matcher hits, a
+    // Chained shard only pages with matching rows. Matched pages
+    // (>= 1 row passing the exact re-check) are counted
+    // shape-independently.
     std::uint64_t crossed_pages = 0;
     std::uint64_t matched_pages = 0;
     std::vector<ShardRows> per_shard = shardRows(table);
+
+    // fn(first, count) for each local page run of shard s: the
+    // zone-map survivors, else the whole shard.
+    auto forEachRun = [&](std::uint32_t s, const auto &fn) {
+        if (!sp.pruned) {
+            fn(std::uint64_t{0}, table.shardPageCount(s));
+            return;
+        }
+        for (const auto &[first, count] :
+             shardPruneRuns(table, sp.plan, s))
+            fn(first, count);
+    };
+    auto pagesOf = [&](std::uint32_t s) {
+        std::uint64_t pages = 0;
+        forEachRun(s, [&](std::uint64_t, std::uint64_t count) {
+            pages += count;
+        });
+        return pages;
+    };
 
     auto hostShard = [&](std::uint32_t s) {
         auto onWindow = [&](Bytes off, const std::uint8_t *data,
@@ -1097,64 +778,48 @@ pipelinedScan(MiniDb &db, Table &table, const ExprPtr &pred,
                     ++matched_pages;
             }
         };
-        if (!sp.pruned) {
-            Bytes size = table.shardPageCount(s) * page_size;
-            stats.pages_to_host += table.shardPageCount(s);
-            crossed_pages += table.shardPageCount(s);
-            host.streamReadOn(s, table.file(), 0, size, 1_MiB,
-                              onWindow);
-            return;
-        }
-        for (const auto &[first, count] :
-             shardPruneRuns(table, sp.plan, s)) {
+        forEachRun(s, [&](std::uint64_t first, std::uint64_t count) {
             stats.pages_to_host += count;
             crossed_pages += count;
             host.streamReadOn(s, table.file(), first * page_size,
-                              count * page_size, 1_MiB, onWindow);
-        }
+                              count * page_size, 1_MiB,
+                              std::cref(onWindow));
+        });
     };
 
+    // The key list is copied while the arguments are evaluated, not
+    // inside make_tuple: the order of these small blocks decides where
+    // they land among the scan's row batches (see runScan's comment).
     auto makeScanLet = [&](sisc::Application &app, std::uint32_t s) {
         if (!sp.pruned) {
             return sisc::SSDLet(
                 app, db.minidb_drive_modules[s], "idScanFilter",
                 std::make_tuple(
-                    slet::File(table.file()), keyStrings(keys),
+                    slet::File(table.file()),
+                    std::vector<std::string>(d.keys.keys()),
                     static_cast<std::uint64_t>(page_size),
                     table.shardPageCount(s)));
         }
         std::vector<std::uint64_t> runs;
-        for (const auto &[first, count] :
-             shardPruneRuns(table, sp.plan, s)) {
+        forEachRun(s, [&](std::uint64_t first, std::uint64_t count) {
             runs.push_back(first);
             runs.push_back(count);
-        }
+        });
         return sisc::SSDLet(
             app, db.prune_drive_modules[s], "idScanFilterRuns",
             std::make_tuple(slet::File(table.file()),
-                            keyStrings(keys),
+                            std::vector<std::string>(d.keys.keys()),
                             static_cast<std::uint64_t>(page_size),
                             runs));
     };
-    auto shardPagesStreamed = [&](std::uint32_t s) {
-        if (!sp.pruned)
-            return table.shardPageCount(s);
-        std::uint64_t pages = 0;
-        for (const auto &[first, count] :
-             shardPruneRuns(table, sp.plan, s))
-            pages += count;
-        return pages;
-    };
 
-    // Matcher on the drive, exact re-check on the host: matcher-
-    // selected *pages* cross the HIL (the PR 8 placed shape).
     auto deviceShard = [&](std::uint32_t s) {
         sisc::SSD ssd(db.env().array.drive(s).runtime);
         sisc::Application app(ssd);
         sisc::SSDLet scan = makeScanLet(app, s);
         auto port = app.connectTo<Packet>(scan.out(0));
         app.start();
-        stats.pages_scanned_device += shardPagesStreamed(s);
+        stats.pages_scanned_device += pagesOf(s);
 
         Packet batch;
         std::vector<std::uint8_t> data;  // reused across pages
@@ -1165,12 +830,13 @@ pipelinedScan(MiniDb &db, Table &table, const ExprPtr &pred,
                 auto len = batch.get<std::uint32_t>();
                 data.resize(len);
                 batch.getBytes(data.data(), len);
-                std::uint64_t page_idx =
-                    table.globalPage(s, local_page);
+                // Exact re-check on the host, straight off the
+                // packed slots.
                 host.consumeCpuPerByte(
                     len, host.config().db_scan_ns_per_byte);
                 if (collectMatches(table, pred, data.data(), len,
-                                   page_idx, per_shard[s], stats))
+                                   table.globalPage(s, local_page),
+                                   per_shard[s], stats))
                     ++matched_pages;
                 ++stats.pages_to_host;
                 ++crossed_pages;
@@ -1179,9 +845,6 @@ pipelinedScan(MiniDb &db, Table &table, const ExprPtr &pred,
         app.wait();
     };
 
-    // Matcher and re-check chained in-drive: the scan SSDlet feeds
-    // the re-check SSDlet over the typed port (sched + abstraction
-    // per batch, no HIL crossing) and only matching rows ship.
     auto chainedShard = [&](std::uint32_t s) {
         sisc::SSD ssd(db.env().array.drive(s).runtime);
         sisc::Application app(ssd);
@@ -1206,7 +869,7 @@ pipelinedScan(MiniDb &db, Table &table, const ExprPtr &pred,
         app.connect(scan.out(0), recheck.in(0));
         auto port = app.connectTo<Packet>(recheck.out(0));
         app.start();
-        stats.pages_scanned_device += shardPagesStreamed(s);
+        stats.pages_scanned_device += pagesOf(s);
 
         Packet batch;
         std::vector<std::uint8_t> slot(row_width);
@@ -1229,9 +892,8 @@ pipelinedScan(MiniDb &db, Table &table, const ExprPtr &pred,
                 if (n_rows > 0)
                     sr.runs.push_back({page_idx, first, n_rows});
                 stats.rows_examined += n_rows;
-                // Only matched pages reach the host at all here;
-                // count them as crossing for the selectivity
-                // bookkeeping (as row payloads, not raw pages).
+                // Only matched pages reach the host at all here, as
+                // row payloads rather than raw pages.
                 ++matched_pages;
                 ++stats.pages_to_host;
                 ++crossed_pages;
@@ -1240,13 +902,18 @@ pipelinedScan(MiniDb &db, Table &table, const ExprPtr &pred,
         app.wait();
     };
 
-    forEachShard(db, table, "db.pipescan", [&](std::uint32_t s) {
-        if (chained(s))
-            chainedShard(s);
-        else if (!siteOf(s).on_host)
-            deviceShard(s);
-        else
+    forEachShard(db, table, "db.scan", [&](std::uint32_t s) {
+        switch (shapeOf(s)) {
+          case Shape::Host:
             hostShard(s);
+            break;
+          case Shape::Device:
+            deviceShard(s);
+            break;
+          case Shape::Chained:
+            chainedShard(s);
+            break;
+        }
     });
     out.batch = mergeShardRows(std::move(per_shard));
     if (sp.plan.usable)
@@ -1256,74 +923,77 @@ pipelinedScan(MiniDb &db, Table &table, const ExprPtr &pred,
     else
         ++stats.conv_scans;
     if (table.pageCount() > 0) {
+        const double pages = static_cast<double>(table.pageCount());
         out.measured_selectivity =
-            static_cast<double>(crossed_pages) /
-            static_cast<double>(table.pageCount());
-        // Same placement-independent feedback as placedScan: the
+            static_cast<double>(any_device ? crossed_pages
+                                           : matched_pages) /
+            pages;
+        // Feedback for the next placement of this same scan: the
         // exact re-check decides what a "matched" page is, wherever
-        // it runs, so every placement records the same fraction.
-        db.matched_page_frac[scanStatKey(table, keys)] =
-            static_cast<double>(matched_pages) /
-            static_cast<double>(table.pageCount());
+        // it runs, so every placement records the same fraction, and
+        // it supersedes the histogram estimate, which cannot see row
+        // clustering.
+        if (plan.valid) {
+            db.matched_page_frac[scanStatKey(table, d.keys)] =
+                static_cast<double>(matched_pages) / pages;
+        }
     }
-    out.placement = plan.describe();
-    out.predicted_ticks = plan.predicted;
-    out.measured_ticks = db.env().kernel.now() - begin;
-
-    // db.place.* + db.place.pipeline.* metrics (BISCUIT_OBS-gated;
-    // never read back into any timing or placement decision).
-    auto &obs = db.env().kernel.obs();
-    std::uint64_t dev_stages = 0;
-    for (const Site &site : plan.sites)
-        if (!site.on_host)
-            ++dev_stages;
-    OBS_COUNT(obs.metrics().counter("db.place.plans", "plans"));
-    OBS_COUNT(obs.metrics().counter("db.place.stages_device",
-                                    "stages"),
-              dev_stages);
-    OBS_COUNT(obs.metrics().counter("db.place.stages_host", "stages"),
-              plan.sites.size() - dev_stages);
-    OBS_COUNT(obs.metrics().counter("db.place.predicted_us", "us"),
-              plan.predicted / 1000);
-    OBS_COUNT(obs.metrics().counter("db.place.measured_us", "us"),
-              out.measured_ticks / 1000);
-    OBS_COUNT(obs.metrics().counter("db.place.pipeline.edges_priced",
-                                    "edges"),
-              plan.edges_priced);
-    OBS_COUNT(obs.metrics().counter(
-                  "db.place.pipeline.edge_predicted_us", "us"),
-              plan.edge_ticks / 1000);
-    if (out.measured_ticks > 0) {
-        const double err =
-            100.0 *
-            std::abs(static_cast<double>(plan.predicted) -
-                     static_cast<double>(out.measured_ticks)) /
-            static_cast<double>(out.measured_ticks);
-        OBS_HIST(obs.metrics().histogram(
-                     "db.place.abs_err_pct", "pct",
-                     {1, 2, 5, 10, 20, 35, 50, 75, 100}),
-                 static_cast<std::uint64_t>(err));
+    if (plan.valid) {
+        out.placement = plan.describe();
+        out.predicted_ticks = plan.predicted;
+        out.measured_ticks = db.env().kernel.now() - begin;
+        notePlacement(db, plan, !d.graph.stages.empty(),
+                      out.measured_ticks);
     }
-    if (session_query >= 0 && db.place_session != nullptr)
-        db.place_session->release(session_query);
-    (void)graph;
+    if (in_session)
+        db.place_session->release(d.session_query);
+    // Built at its exact size: assigning the bare literal would first
+    // grow the empty note to twice its inline capacity.
+    if (!plan.valid && !any_device)
+        out.note = std::string("conventional scan");
     return out;
 }
 
 }  // namespace
 
 void
+loadOnEveryDrive(MiniDb &db, const std::string &module,
+                 std::vector<std::uint64_t> &ids)
+{
+    if (!ids.empty())
+        return;
+    // A stack buffer: each call below builds its own exact-size string
+    // from it, as from a literal, so the loader leaves no heap block
+    // live among the module images it loads.
+    char path[64];
+    std::snprintf(path, sizeof(path), "/var/isc/slets/%s.slet",
+                  module.c_str());
+    const std::uint32_t drives = db.host().driveCount();
+    std::vector<std::uint64_t> loaded;
+    loaded.reserve(drives);
+    for (std::uint32_t d = 0; d < drives; ++d) {
+        sisc::SSD ssd(db.env().array.drive(d).runtime);
+        auto &fs = ssd.runtime().fs();
+        if (!fs.exists(path))
+            rt::ModuleRegistry::global().installModuleFile(fs, path,
+                                                           module);
+        loaded.push_back(ssd.loadModule(sisc::File(ssd, path)));
+    }
+    ids = std::move(loaded);
+}
+
+void
 warmMinidbModule(MiniDb &db)
 {
-    loadMinidbModules(db);
+    loadOnEveryDrive(db, "minidb", db.minidb_drive_modules);
     // Statistics mode also ships the run-list scan module; warm it in
     // the same breath so lane replays place the one-time load outside
     // their measurement windows just like the baseline module.
     if (db.planner.use_stats)
-        loadPruneModules(db);
+        loadOnEveryDrive(db, "minidb_prune", db.prune_drive_modules);
     // Pipeline mode ships the in-drive re-check module too.
     if (db.planner.use_pipeline)
-        loadPipeModules(db);
+        loadOnEveryDrive(db, "minidb_pipe", db.pipe_drive_modules);
 }
 
 Row
@@ -1450,7 +1120,7 @@ ndpSamplePages(MiniDb &db, Table &table, const pm::KeySet &keys,
                const std::vector<std::uint64_t> &pages, DbStats &stats)
 {
     OpTimer timer(db, stats, "sample");
-    loadMinidbModules(db);
+    loadOnEveryDrive(db, "minidb", db.minidb_drive_modules);
 
     // Route each sampled global page to the shard that owns it; each
     // drive probes its own slice in parallel with the others.
@@ -1466,8 +1136,9 @@ ndpSamplePages(MiniDb &db, Table &table, const pm::KeySet &keys,
         sisc::Application app(ssd);
         sisc::SSDLet sampler(
             app, db.minidb_drive_modules[s], "idSample",
+            // Keys copied as an argument, as in runScan's makeScanLet.
             std::make_tuple(slet::File(table.file()),
-                            keyStrings(keys),
+                            std::vector<std::string>(keys.keys()),
                             static_cast<std::uint64_t>(
                                 table.pageSize()),
                             local[s]));
@@ -1526,41 +1197,26 @@ ScanOutcome
 scanBatch(MiniDb &db, Table &table, const ExprPtr &pred,
           EngineMode mode, DbStats &stats)
 {
-    if (mode == EngineMode::Biscuit) {
-        PlanDecision d = decideOffload(db, table, pred, stats);
-        ScanOutcome out =
-            d.plan.valid && !d.graph.stages.empty()
-                ? pipelinedScan(db, table, pred, d.keys, d.plan,
-                                d.graph, stats, d.session_query)
-                : d.plan.valid
-                ? placedScan(db, table, pred, d.keys, d.plan, stats)
-                : (d.offload
-                       ? ndpScan(db, table, pred, d.keys, stats)
-                       : convScan(db, table, pred, stats));
-        out.sampled_selectivity = d.sampled_selectivity;
-        out.est_selectivity = d.est_selectivity;
-        out.note = d.note;
-        if (d.plan.valid && out.measured_ticks > 0) {
-            const double err =
-                100.0 *
-                std::abs(static_cast<double>(d.plan.predicted) -
-                         static_cast<double>(out.measured_ticks)) /
-                static_cast<double>(out.measured_ticks);
-            char pbuf[96];
-            std::snprintf(pbuf, sizeof(pbuf),
-                          "; predicted %.3f ms, measured %.3f ms "
-                          "(err %.0f%%)",
-                          static_cast<double>(d.plan.predicted) / 1e6,
-                          static_cast<double>(out.measured_ticks) /
-                              1e6,
-                          err);
-            out.note += pbuf;
-        }
-        if (db.planner.use_stats)
-            noteSelectivity(db, out);
-        return out;
+    if (mode == EngineMode::Conv)
+        return runScan(db, table, pred, PlanDecision{}, stats);
+    const PlanDecision d = decideOffload(db, table, pred, stats);
+    ScanOutcome out = runScan(db, table, pred, d, stats);
+    out.sampled_selectivity = d.sampled_selectivity;
+    out.est_selectivity = d.est_selectivity;
+    out.note = d.note;
+    if (d.plan.valid && out.measured_ticks > 0) {
+        char pbuf[96];
+        std::snprintf(pbuf, sizeof(pbuf),
+                      "; predicted %.3f ms, measured %.3f ms "
+                      "(err %.0f%%)",
+                      static_cast<double>(d.plan.predicted) / 1e6,
+                      static_cast<double>(out.measured_ticks) / 1e6,
+                      absErrPct(d.plan.predicted, out.measured_ticks));
+        out.note += pbuf;
     }
-    return convScan(db, table, pred, stats);
+    if (db.planner.use_stats)
+        noteSelectivity(db, out);
+    return out;
 }
 
 ScanOutcome

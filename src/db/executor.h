@@ -1,7 +1,9 @@
 /**
  * @file
- * MiniDB execution primitives: conventional and NDP table scans, the
- * block-nested-loop join cost model, grouping, sorting.
+ * MiniDB execution primitives: table scans (each shard streamed to
+ * the host, filtered on its drive, or filtered and re-checked in
+ * its drive), the block-nested-loop join cost model, grouping,
+ * sorting.
  *
  * The 22 TPC-H query drivers (src/tpch/queries.cc) compose these
  * primitives; each primitive charges its own simulated time so query
@@ -41,19 +43,21 @@ struct ScanOutcome
     double est_selectivity = -1.0;
 
     /**
-     * Measured page selectivity of this scan: on the NDP path the
-     * fraction of pages the device shipped (key matches, what the
-     * offload threshold governs); on the conventional path the
-     * fraction of pages holding at least one predicate-satisfying
-     * row. -1 on an empty table.
+     * Measured page selectivity of this scan: when any shard ran on a
+     * device, the fraction of pages that crossed to the host (device
+     * shards ship only key matches, what the offload threshold
+     * governs); when every shard streamed to the host, the fraction
+     * of pages holding at least one predicate-satisfying row. -1 on
+     * an empty table.
      */
     double measured_selectivity = -1.0;
 
     /**
      * Cost-model placement trace (PlannerConfig::use_cost_model):
-     * the chosen per-shard sites ("d0,d1,host,d3"), the model's
+     * the chosen sites in stage order ("d0,d1,host,d3"), the model's
      * predicted makespan and the measured scan ticks. Empty / zero
-     * when the scan ran the legacy boolean dispatch.
+     * when the planner decided without a placement plan (Conv mode or
+     * the paper's threshold rule).
      */
     std::string placement;
     Tick predicted_ticks = 0;
@@ -64,9 +68,11 @@ struct ScanOutcome
 
 /**
  * Scan @p table with predicate @p pred (may be null = full scan).
- * In Biscuit mode the planner heuristic decides between the offload
- * path and the conventional path; Conv mode always streams to the
- * host. Rows returned satisfy @p pred exactly.
+ * In Biscuit mode the planner decides where each shard is scanned
+ * (streamed to the host, filtered on its drive, or filtered and
+ * re-checked in-drive); Conv mode streams every shard to the host.
+ * Rows returned satisfy @p pred exactly, in the same order whatever
+ * the placement.
  */
 ScanOutcome scanTable(MiniDb &db, Table &table, const ExprPtr &pred,
                       EngineMode mode, DbStats &stats);
@@ -74,6 +80,17 @@ ScanOutcome scanTable(MiniDb &db, Table &table, const ExprPtr &pred,
 /** scanTable() with the rows left typed in ScanOutcome::batch. */
 ScanOutcome scanBatch(MiniDb &db, Table &table, const ExprPtr &pred,
                       EngineMode mode, DbStats &stats);
+
+/**
+ * Install SSDlet module @p module on every drive that lacks its image
+ * (/var/isc/slets/<module>.slet) and load it there (timed, from the
+ * calling fiber), unless @p ids already holds it. @p ids (index =
+ * drive) then stays resident in the MiniDb: load once, instantiate
+ * per offload, the lifecycle the Biscuit runtime is built for. Not
+ * re-entrant across fibers; warm it before concurrent users start.
+ */
+void loadOnEveryDrive(MiniDb &db, const std::string &module,
+                      std::vector<std::uint64_t> &ids);
 
 /**
  * Load the "minidb" SSDlet module now (timed, from the host fiber) if

@@ -140,11 +140,13 @@ struct DbStats
     Tick elapsed = 0;
 
     /**
-     * Sim-time attributed to each relational operator ("conv_scan",
-     * "ndp_scan", "bnl_join", "group_by", "filter", "sample"), in ns.
-     * Operators that overlap (an NDP scan's device work under the
-     * host-side drain) are charged wall-to-wall, so per-operator
-     * ticks can exceed elapsed in aggregate.
+     * Sim-time attributed to each relational operator, in ns: a scan
+     * is "conv_scan" when every shard streamed to the host and
+     * "ndp_scan" when any shard ran on a drive; then "bnl_join",
+     * "group_by", "filter", "sample" and "point_lookup". Operators
+     * that overlap (an NDP scan's device work under the host-side
+     * drain) are charged wall-to-wall, so per-operator ticks can
+     * exceed elapsed in aggregate.
      */
     std::map<std::string, Tick> op_ticks;
 
@@ -256,54 +258,29 @@ class MiniDb
     PlannerConfig planner;
 
     /**
-     * The loaded "minidb" SSDlet module (scan/sample offload code).
-     * Loaded lazily by the executor on the first offload and kept
-     * resident — like a production engine would keep its offload
-     * module loaded.
-     */
-    std::uint64_t minidb_module = 0;
-    bool minidb_module_loaded = false;
-
-    /**
-     * Per-drive module ids of the loaded minidb module (index =
-     * drive). Populated together with minidb_module (which aliases
-     * entry 0); every drive carries the module so any shard can run
-     * the scan/sample SSDlets.
+     * Per-drive module ids (index = drive) of the SSDlet modules the
+     * executor and the workload runners instantiate, each loaded on
+     * every drive by loadOnEveryDrive() on first use (or a warm-up)
+     * and kept resident, like a production engine keeps its offload
+     * modules loaded. Empty until loaded.
+     *
+     *  - "minidb": the scan/filter and sampling SSDlets;
+     *  - "minidb_prune": the run-list scan SSDlet of
+     *    statistics-pruned offloads;
+     *  - "minidb_pipe": the exact re-check SSDlet that pipeline
+     *    placement chains behind a matcher scan in-drive;
+     *  - "hetero": the device word-count and join-prefilter SSDlets;
+     *  - "grep": the resident grep module of the unified grep runner.
+     *
+     * Separate images, not one, because a module's image bytes, and
+     * therefore its timed load in the golden transcripts, track its
+     * SSDlets: merging them would shift every older transcript.
      */
     std::vector<std::uint64_t> minidb_drive_modules;
-
-    /**
-     * Per-drive module ids of the "minidb_prune" module, the run-list
-     * scan SSDlet used by statistics-pruned offloads. A separate
-     * module so the baseline "minidb" image stays byte-identical (its
-     * load time is part of the no-stats golden transcripts); loaded
-     * lazily on the first pruned offload.
-     */
     std::vector<std::uint64_t> prune_drive_modules;
-    bool prune_module_loaded = false;
-
-    /**
-     * Per-drive module ids of the "minidb_pipe" module, the exact
-     * re-check SSDlet that pipeline placement chains behind a matcher
-     * scan in-drive. A third module for the same reason as the prune
-     * module: the baseline images stay byte-identical, and the
-     * re-check image loads lazily on the first pipelined offload.
-     */
     std::vector<std::uint64_t> pipe_drive_modules;
-    bool pipe_module_loaded = false;
-
-    /**
-     * Per-drive module ids of the "hetero" module (device word-count
-     * and join-prefilter SSDlets) and of the resident "grep" module
-     * the unified grep runner instantiates against. Separate images
-     * for the same reason as above: every pre-unification module's
-     * bytes — and therefore its load time in the golden transcripts —
-     * stays identical. Loaded lazily on first unified use.
-     */
     std::vector<std::uint64_t> hetero_drive_modules;
-    bool hetero_module_loaded = false;
     std::vector<std::uint64_t> grep_drive_modules;
-    bool grep_module_loaded = false;
 
     /**
      * Multi-query placement session (db/session.h) the planner
@@ -325,7 +302,7 @@ class MiniDb
     /**
      * Measured matched-page fraction (pages holding at least one
      * exact match / table pages), keyed like selectivity_stats.
-     * Written only by the cost-model scan path, read only by the
+     * Written only by scans the cost model placed, read only by the
      * placer: feedback from a prior identical scan beats any a-priori
      * estimate for clustered data, where the histogram row estimate
      * wildly overstates how many pages actually ship. Placement-

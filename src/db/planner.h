@@ -34,10 +34,11 @@ struct PlanDecision
 
     /**
      * Per-shard placement (PlannerConfig::use_cost_model): valid=true
-     * routes the scan through the executor's placed fan-out, with
+     * gives each shard of the scan the site the placer chose, with
      * offload generalized to "any stage on a drive". valid=false —
-     * always the case gate-closed — leaves the historical boolean
-     * dispatch untouched, tick for tick.
+     * always the case gate-closed — runs every shard on the host, or
+     * every shard on its drive when offload is set, tick for tick the
+     * paper's two scans.
      */
     PlacementPlan plan;
 
@@ -46,7 +47,8 @@ struct PlanDecision
      * stages feeding per-shard exact re-check transforms feeding a
      * host merge, with plan.sites indexed by graph stage. Empty —
      * always the case with the pipeline gate closed — means plan
-     * sites map one-to-one onto shards (the PR 8 per-shard path).
+     * sites map one-to-one onto shards and no shard is chained
+     * in-drive.
      */
     PipelineGraph graph;
 

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "db/executor.h"
 #include "db/session.h"
-#include "runtime/module.h"
 #include "sisc/application.h"
-#include "sisc/file.h"
 #include "sisc/port.h"
 #include "sisc/ssd.h"
 #include "slet/file.h"
@@ -108,57 +107,12 @@ class SemiScanLet
 RegisterSSDLet("hetero", "idWordCount", WordCountLet);
 RegisterSSDLet("hetero", "idSemiScan", SemiScanLet);
 
-/**
- * Lazily install and load the resident grep module on every drive —
- * the serving-tier lifecycle (load once, instantiate per request),
- * now shared by the unified grep runner. Same shape as the executor's
- * loadMinidbModules.
- */
-void
-loadGrepModules(MiniDb &db)
-{
-    if (db.grep_module_loaded)
-        return;
-    const std::uint32_t drives = db.host().driveCount();
-    db.grep_drive_modules.clear();
-    db.grep_drive_modules.reserve(drives);
-    for (std::uint32_t d = 0; d < drives; ++d) {
-        sisc::SSD ssd(db.env().array.drive(d).runtime);
-        host::installGrepModule(ssd.runtime().fs());
-        db.grep_drive_modules.push_back(ssd.loadModule(
-            sisc::File(ssd, "/var/isc/slets/grep.slet")));
-    }
-    db.grep_module_loaded = true;
-}
-
-/** Lazily install and load the "hetero" module on every drive. */
-void
-loadHeteroModules(MiniDb &db)
-{
-    if (db.hetero_module_loaded)
-        return;
-    const std::uint32_t drives = db.host().driveCount();
-    db.hetero_drive_modules.clear();
-    db.hetero_drive_modules.reserve(drives);
-    for (std::uint32_t d = 0; d < drives; ++d) {
-        sisc::SSD ssd(db.env().array.drive(d).runtime);
-        auto &fs = ssd.runtime().fs();
-        if (!fs.exists("/var/isc/slets/hetero.slet")) {
-            rt::ModuleRegistry::global().installModuleFile(
-                fs, "/var/isc/slets/hetero.slet", "hetero");
-        }
-        db.hetero_drive_modules.push_back(ssd.loadModule(
-            sisc::File(ssd, "/var/isc/slets/hetero.slet")));
-    }
-    db.hetero_module_loaded = true;
-}
-
 /** Run the device word-count SSDlet against @p drive's file. */
 host::WordCountResult
 deviceWordCount(MiniDb &db, std::uint32_t drive,
                 const std::string &path)
 {
-    loadHeteroModules(db);
+    loadOnEveryDrive(db, "hetero", db.hetero_drive_modules);
     auto &runtime = db.env().array.drive(drive).runtime;
     auto &kernel = runtime.kernel();
     host::WordCountResult result;
@@ -320,7 +274,7 @@ runPlannedWorkload(MiniDb &db, const WorkloadSpec &spec,
             out.grep = host::grepConvOn(host, spec.drive, spec.path,
                                         spec.pattern);
         } else {
-            loadGrepModules(db);
+            loadOnEveryDrive(db, "grep", db.grep_drive_modules);
             out.grep = host::grepBiscuitResident(
                 db.env().array.drive(spec.drive).runtime,
                 db.grep_drive_modules[spec.drive], spec.path,
@@ -357,13 +311,13 @@ runWorkload(MiniDb &db, const WorkloadSpec &spec)
 void
 warmGrepModules(MiniDb &db)
 {
-    loadGrepModules(db);
+    loadOnEveryDrive(db, "grep", db.grep_drive_modules);
 }
 
 void
 warmHeteroModules(MiniDb &db)
 {
-    loadHeteroModules(db);
+    loadOnEveryDrive(db, "hetero", db.hetero_drive_modules);
 }
 
 }  // namespace bisc::db

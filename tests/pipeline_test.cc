@@ -1,8 +1,8 @@
 /**
  * @file
  * Multi-stage pipeline placement contracts (db/costmodel.h
- * predictPipeline, db/placer.h placePipeline, the pipelinedScan
- * executor path):
+ * predictPipeline, db/placer.h placePipeline, and the executor's
+ * scan fan-out running pipeline plans, chained shards included):
  *
  *  1. Property, 24 seeds of random pipeline graphs (scan -> re-check
  *     -> merge shapes) and drive loads including host streams and
