@@ -5,18 +5,24 @@
  * benches): event queue churn, fiber switches, bounded queues, packet
  * serialization, the byte-scan kernels (host grep, the pattern
  * matcher and word count, over uniform bytes and a generated web
- * log), and the runtime allocator.
+ * log), the runtime allocator, device-image snapshots, and table
+ * population: TPC-H generation and statistics building at SF 0.01,
+ * as ns per row.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "util/log.h"
 
+#include <chrono>
 #include <string>
 #include <vector>
 
+#include "db/minidb.h"
+#include "db/stats.h"
 #include "fiber/fiber.h"
 #include "host/grep.h"
+#include "host/host_system.h"
 #include "host/load_gen.h"
 #include "pm/pattern_matcher.h"
 #include "runtime/allocator.h"
@@ -24,6 +30,7 @@
 #include "sim/kernel.h"
 #include "sisc/device_image.h"
 #include "sisc/env.h"
+#include "tpch/dbgen.h"
 #include "util/bounded_queue.h"
 #include "util/byte_scan.h"
 #include "util/packet.h"
@@ -292,6 +299,85 @@ BM_DeviceImageFork(benchmark::State &state)
     delete frozen;
 }
 BENCHMARK(BM_DeviceImageFork);
+
+// ----- Table population (offline set-up, host wall clock) -----
+
+/** A one-drive system, optionally holding TPC-H at SF 0.01. */
+struct TpchBench
+{
+    sisc::Env env{ssd::defaultConfig(), 1};
+    host::HostSystem host{env.array};
+    db::MiniDb db{env, host};
+
+    void
+    build()
+    {
+        tpch::TpchConfig cfg;
+        cfg.scale_factor = 0.01;
+        tpch::buildTpch(db, cfg);
+    }
+};
+
+/** Seconds between two steady-clock points. */
+double
+secondsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+}
+
+void
+BM_DbgenLineitem(benchmark::State &state)
+{
+    // buildTpch() draws all eight tables from one RNG stream, so the
+    // generator runs whole; lineitem is 69% of its rows and 80% of
+    // its bytes. ns_per_row divides the whole population's time by
+    // the lineitem rows written.
+    double seconds = 0.0;
+    std::uint64_t rows = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto *sys = new TpchBench;
+        state.ResumeTiming();
+        const auto t0 = std::chrono::steady_clock::now();
+        sys->build();
+        seconds += secondsSince(t0);
+        const db::Table &lineitem = sys->db.table("lineitem");
+        benchmark::DoNotOptimize(lineitem.pageCount());
+        rows += lineitem.rowCount();
+        state.PauseTiming();
+        delete sys;
+        state.ResumeTiming();
+    }
+    state.counters["ns_per_row"] =
+        rows > 0 ? seconds * 1e9 / static_cast<double>(rows) : 0.0;
+    state.SetItemsProcessed(static_cast<std::int64_t>(rows));
+}
+BENCHMARK(BM_DbgenLineitem)->Unit(benchmark::kMillisecond);
+
+void
+BM_TableStatsBuild(benchmark::State &state)
+{
+    // Both statistics passes over lineitem (zone maps, then the
+    // histograms), as the first Table::stats() call runs them.
+    TpchBench sys;
+    sys.build();
+    const db::Table &lineitem = sys.db.table("lineitem");
+    double seconds = 0.0;
+    std::uint64_t rows = 0;
+    for (auto _ : state) {
+        const auto t0 = std::chrono::steady_clock::now();
+        auto st = db::buildTableStats(lineitem);
+        benchmark::DoNotOptimize(st.get());
+        seconds += secondsSince(t0);
+        rows += lineitem.rowCount();
+    }
+    state.counters["ns_per_row"] =
+        rows > 0 ? seconds * 1e9 / static_cast<double>(rows) : 0.0;
+    state.SetItemsProcessed(static_cast<std::int64_t>(rows));
+}
+BENCHMARK(BM_TableStatsBuild)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

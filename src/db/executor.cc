@@ -482,7 +482,10 @@ shardRows(const Table &table)
 
 /**
  * Merge per-shard fragments into global page order. Page indices are
- * unique, so the order is total.
+ * unique, so the order is total. When only one shard matched and its
+ * runs already ascend, its batch is the result as it stands;
+ * otherwise the merged batch is sized once and each run copied as one
+ * block.
  */
 RowBatch
 mergeShardRows(std::vector<ShardRows> per_shard)
@@ -494,20 +497,29 @@ mergeShardRows(std::vector<ShardRows> per_shard)
         const ShardRows::Run *run;
     };
     std::vector<Ref> all;
-    for (const ShardRows &sr : per_shard) {
-        for (const auto &run : sr.runs)
+    std::size_t total = 0;
+    ShardRows *only = nullptr;
+    for (ShardRows &sr : per_shard) {
+        if (sr.runs.empty())
+            continue;
+        only = all.empty() ? &sr : nullptr;
+        for (const auto &run : sr.runs) {
             all.push_back({run.page, &sr, &run});
+            total += run.count;
+        }
     }
-    std::sort(all.begin(), all.end(), [](const Ref &a, const Ref &b) {
+    const auto by_page = [](const Ref &a, const Ref &b) {
         return a.page < b.page;
-    });
+    };
+    if (only != nullptr && std::is_sorted(all.begin(), all.end(), by_page))
+        return std::move(only->rows);
+    std::sort(all.begin(), all.end(), by_page);
     RowBatch out(per_shard.at(0).rows.columns());
+    out.reserve(total);
     for (const ShardRows &sr : per_shard)
         out.share(sr.rows);
-    for (const Ref &ref : all) {
-        for (std::size_t r = 0; r < ref.run->count; ++r)
-            out.appendFrom(ref.shard->rows, ref.run->first + r);
-    }
+    for (const Ref &ref : all)
+        out.appendRows(ref.shard->rows, ref.run->first, ref.run->count);
     return out;
 }
 
@@ -1281,6 +1293,7 @@ hashJoinRows(const RowBatch &outer, const OuterKey &outer_key,
     const Schema &inner_schema = inner.schema();
     RowBatch matched = RowBatch::forSchema(inner_schema);
     std::vector<std::int32_t> older;  // inner row -> next older match
+    std::vector<std::uint32_t> matches(head.size(), 0);  // id -> count
     inner.forEachSlot([&](const std::uint8_t *slot) {
         if (inner_pred && !evalPredRaw(*inner_pred, slot, inner_schema))
             return;
@@ -1289,11 +1302,16 @@ hashJoinRows(const RowBatch &outer, const OuterKey &outer_key,
             return;
         older.push_back(head[it->second]);
         head[it->second] = static_cast<std::int32_t>(matched.size());
+        ++matches[it->second];
         matched.appendSlot(inner_schema, slot);
     });
     matched_rows = matched.size();
 
+    std::size_t joined = 0;
+    for (std::uint32_t id : outer_id)
+        joined += matches[id];
     RowBatch out = joinedBatch(outer, inner_schema);
+    out.reserve(joined);
     out.share(outer);
     out.share(matched);
     for (std::size_t i = 0; i < outer.size(); ++i) {

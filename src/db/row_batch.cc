@@ -175,6 +175,18 @@ RowBatch::appendFrom(const RowBatch &src, std::size_t r)
 }
 
 void
+RowBatch::appendRows(const RowBatch &src, std::size_t first,
+                     std::size_t count)
+{
+    BISC_ASSERT(&src != this && first + count <= src.rows_,
+                "bad source row range");
+    const std::size_t w = cols_.size();
+    cells_.insert(cells_.end(), src.cells_.begin() + first * w,
+                  src.cells_.begin() + (first + count) * w);
+    rows_ += count;
+}
+
+void
 RowBatch::share(const RowBatch &src)
 {
     for (const auto &a : src.storage_) {

@@ -165,6 +165,20 @@ class RowBatch
     /** Append row @p r of @p src (same columns) by cell copy. */
     void appendFrom(const RowBatch &src, std::size_t r);
 
+    /**
+     * Append rows [@p first, @p first + @p count) of @p src (same
+     * columns) as one block copy of their cells.
+     */
+    void appendRows(const RowBatch &src, std::size_t first,
+                    std::size_t count);
+
+    /** Make room for @p rows rows in all, so appends do not regrow. */
+    void
+    reserve(std::size_t rows)
+    {
+        cells_.reserve(rows * cols_.size());
+    }
+
     /** Keep @p src's text storage alive for this batch's cells. */
     void share(const RowBatch &src);
 

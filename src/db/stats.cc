@@ -16,34 +16,6 @@ isTextColumn(const Schema &s, int column)
     return t == Type::String || t == Type::Date;
 }
 
-/** Text column bytes up to NUL/width (rawText semantics). */
-std::string_view
-slotText(const std::uint8_t *slot, const Schema &s, std::size_t column)
-{
-    const Column &c = s.at(column);
-    const char *p =
-        reinterpret_cast<const char *>(slot + s.offsetOf(column));
-    Bytes n = 0;
-    while (n < c.width && p[n] != '\0')
-        ++n;
-    return {p, n};
-}
-
-double
-slotNumber(const std::uint8_t *slot, const Schema &s,
-           std::size_t column)
-{
-    const std::uint8_t *src = slot + s.offsetOf(column);
-    if (s.at(column).type == Type::Int64) {
-        std::int64_t v;
-        std::memcpy(&v, src, 8);
-        return static_cast<double>(v);
-    }
-    double v;
-    std::memcpy(&v, src, 8);
-    return v;
-}
-
 bool
 looksLikeDate(std::string_view t)
 {
@@ -182,6 +154,92 @@ EqualWidthHistogram::estimateRange(double a, double b) const
 // Construction
 // ---------------------------------------------------------------------
 
+namespace {
+
+/** Where and how buildTableStats() reads one column of a slot. */
+struct ColumnPlan
+{
+    Bytes offset = 0;
+    Bytes width = 0;
+    Type type = Type::Int64;
+
+    bool text() const { return type == Type::String || type == Type::Date; }
+};
+
+std::vector<ColumnPlan>
+columnPlan(const Schema &s)
+{
+    std::vector<ColumnPlan> plan(s.size());
+    for (std::size_t c = 0; c < s.size(); ++c)
+        plan[c] = {s.offsetOf(c), s.at(c).width, s.at(c).type};
+    return plan;
+}
+
+double
+numberAt(const std::uint8_t *src, Type t)
+{
+    if (t == Type::Int64) {
+        std::int64_t v;
+        std::memcpy(&v, src, 8);
+        return static_cast<double>(v);
+    }
+    double v;
+    std::memcpy(&v, src, 8);
+    return v;
+}
+
+std::string_view
+textAt(const std::uint8_t *src, Bytes width)
+{
+    return textOf(reinterpret_cast<const char *>(src), width);
+}
+
+/**
+ * Histogram-domain value of one cell: numbers as themselves, a Date
+ * cell's text through dateToDays() when it looks like a date. False
+ * for String cells and non-date text.
+ */
+bool
+domainValue(const ColumnPlan &cp, const std::uint8_t *src, double *out)
+{
+    if (!cp.text()) {
+        *out = numberAt(src, cp.type);
+        return true;
+    }
+    if (cp.type == Type::String)
+        return false;
+    const std::string_view t = textAt(src, cp.width);
+    if (!looksLikeDate(t))
+        return false;
+    *out = static_cast<double>(dateToDays(t));
+    return true;
+}
+
+/**
+ * A running [lo, hi] under the strict comparisons of a row-by-row
+ * scan: the first value seeds both bounds, and a later one replaces a
+ * bound only when it is strictly beyond it.
+ */
+template <class T>
+struct Bounds
+{
+    T lo{};
+    T hi{};
+    bool seen = false;
+
+    void
+    add(const T &v)
+    {
+        if (!seen || v < lo)
+            lo = v;
+        if (!seen || v > hi)
+            hi = v;
+        seen = true;
+    }
+};
+
+}  // namespace
+
 std::shared_ptr<const TableStats>
 buildTableStats(const Table &table)
 {
@@ -189,39 +247,26 @@ buildTableStats(const Table &table)
     const std::size_t ncols = s.size();
     const Bytes page_size = table.pageSize();
     const Bytes row_width = s.rowWidth();
+    const std::vector<ColumnPlan> plan = columnPlan(s);
 
     auto st = std::make_shared<TableStats>();
     st->row_count = table.rowCount();
     st->page_count = table.pageCount();
     st->hists.resize(ncols);
 
-    // Which columns have a numeric histogram domain, and how slot
-    // bytes map into it.
-    auto numericDomain = [&](std::size_t c, const std::uint8_t *slot,
-                             double *out) {
-        switch (s.at(c).type) {
-          case Type::Int64:
-          case Type::Double:
-            *out = slotNumber(slot, s, c);
-            return true;
-          case Type::Date: {
-            std::string_view t = slotText(slot, s, c);
-            if (!looksLikeDate(t))
-                return false;
-            *out = static_cast<double>(dateToDays(std::string(t)));
-            return true;
-          }
-          case Type::String:
-            return false;
-        }
-        return false;
+    std::vector<std::uint8_t> page(page_size);
+    auto readPage = [&](std::uint64_t p) {
+        table.shardFs(table.shardOf(p))
+            .peek(table.file(), table.localPage(p) * page_size,
+                  page_size, page.data());
+        return table.rowsInPage(p);
     };
 
     // Pass 1: per-chunk zone maps plus each column's global numeric
-    // domain (the histogram's [lo, hi]).
-    std::vector<double> dom_lo(ncols, 0.0), dom_hi(ncols, 0.0);
-    std::vector<bool> dom_seen(ncols, false);
-    std::vector<std::uint8_t> page(page_size);
+    // domain (the histogram's [lo, hi]). Each page is walked column
+    // by column; a column's running bounds carry over from the rows
+    // before it, so the result is that of a row-by-row scan.
+    std::vector<Bounds<double>> domain(ncols);
     for (std::uint64_t p = 0; p < st->page_count; ++p) {
         if (p % kPagesPerChunk == 0) {
             ChunkStats chunk;
@@ -231,72 +276,74 @@ buildTableStats(const Table &table)
         }
         ChunkStats &chunk = st->chunks.back();
         ++chunk.page_count;
+        const bool chunk_first = chunk.row_count == 0;
 
-        table.shardFs(table.shardOf(p))
-            .peek(table.file(), table.localPage(p) * page_size,
-                  page_size, page.data());
-        const std::uint64_t n = table.rowsInPage(p);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const std::uint8_t *slot = page.data() + i * row_width;
-            const bool first = chunk.row_count == 0;
-            ++chunk.row_count;
-            for (std::size_t c = 0; c < ncols; ++c) {
-                ColumnZone &z = chunk.cols[c];
-                if (isTextColumn(s, static_cast<int>(c))) {
-                    std::string_view t = slotText(slot, s, c);
-                    if (first || t < z.str_min)
-                        z.str_min.assign(t);
-                    if (first || t > z.str_max)
-                        z.str_max.assign(t);
-                } else {
-                    double v = slotNumber(slot, s, c);
-                    if (first || v < z.num_min)
-                        z.num_min = v;
-                    if (first || v > z.num_max)
-                        z.num_max = v;
+        const std::uint64_t n = readPage(p);
+        chunk.row_count += n;
+        for (std::size_t c = 0; c < ncols; ++c) {
+            const ColumnPlan &cp = plan[c];
+            ColumnZone &z = chunk.cols[c];
+            Bounds<double> dom = domain[c];
+            const std::uint8_t *cell = page.data() + cp.offset;
+            if (!cp.text()) {
+                Bounds<double> zone{z.num_min, z.num_max, !chunk_first};
+                for (std::uint64_t i = 0; i < n; ++i, cell += row_width) {
+                    const double v = numberAt(cell, cp.type);
+                    zone.add(v);
+                    dom.add(v);
                 }
-                double d;
-                if (numericDomain(c, slot, &d)) {
-                    if (!dom_seen[c] || d < dom_lo[c])
-                        dom_lo[c] = d;
-                    if (!dom_seen[c] || d > dom_hi[c])
-                        dom_hi[c] = d;
-                    dom_seen[c] = true;
+                z.num_min = zone.lo;
+                z.num_max = zone.hi;
+            } else {
+                // Text bounds stay views (into the zone's strings or
+                // this page) until the page is done.
+                Bounds<std::string_view> zone{z.str_min, z.str_max,
+                                              !chunk_first};
+                for (std::uint64_t i = 0; i < n; ++i, cell += row_width) {
+                    const std::string_view t = textAt(cell, cp.width);
+                    zone.add(t);
+                    if (cp.type == Type::Date && looksLikeDate(t))
+                        dom.add(static_cast<double>(dateToDays(t)));
                 }
+                if (zone.lo.data() != z.str_min.data())
+                    z.str_min.assign(zone.lo);
+                if (zone.hi.data() != z.str_max.data())
+                    z.str_max.assign(zone.hi);
             }
+            domain[c] = dom;
         }
     }
 
-    // Pass 2: equal-width histogram fill over the global domains.
+    // Pass 2: equal-width histogram fill over the global domains,
+    // reading only the columns that have one.
+    std::vector<std::size_t> hist_cols;
     for (std::size_t c = 0; c < ncols; ++c) {
-        if (!dom_seen[c])
+        if (!domain[c].seen)
             continue;
-        st->hists[c].lo = dom_lo[c];
-        st->hists[c].hi = dom_hi[c];
+        st->hists[c].lo = domain[c].lo;
+        st->hists[c].hi = domain[c].hi;
         st->hists[c].buckets.assign(kHistogramBuckets, 0);
+        hist_cols.push_back(c);
     }
+    if (hist_cols.empty())
+        return st;
     for (std::uint64_t p = 0; p < st->page_count; ++p) {
-        table.shardFs(table.shardOf(p))
-            .peek(table.file(), table.localPage(p) * page_size,
-                  page_size, page.data());
-        const std::uint64_t n = table.rowsInPage(p);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const std::uint8_t *slot = page.data() + i * row_width;
-            for (std::size_t c = 0; c < ncols; ++c) {
-                EqualWidthHistogram &h = st->hists[c];
-                if (h.buckets.empty())
-                    continue;
-                double v;
-                if (!numericDomain(c, slot, &v))
+        const std::uint64_t n = readPage(p);
+        for (std::size_t c : hist_cols) {
+            const ColumnPlan &cp = plan[c];
+            EqualWidthHistogram &h = st->hists[c];
+            const std::size_t last = h.buckets.size() - 1;
+            const double width =
+                (h.hi - h.lo) / static_cast<double>(h.buckets.size());
+            const std::uint8_t *cell = page.data() + cp.offset;
+            for (std::uint64_t i = 0; i < n; ++i, cell += row_width) {
+                double v = 0.0;
+                if (!domainValue(cp, cell, &v))
                     continue;
                 std::size_t b = 0;
                 if (h.hi > h.lo) {
-                    const double width =
-                        (h.hi - h.lo) /
-                        static_cast<double>(h.buckets.size());
-                    b = std::min(h.buckets.size() - 1,
-                                 static_cast<std::size_t>(
-                                     (v - h.lo) / width));
+                    b = std::min(last, static_cast<std::size_t>(
+                                           (v - h.lo) / width));
                 }
                 ++h.buckets[b];
                 ++h.total;

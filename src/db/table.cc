@@ -49,7 +49,7 @@ Table::Table(fs::FileSystem &fs, std::string name, Schema schema,
 {}
 
 void
-Table::load(const std::function<bool(Row &)> &next)
+Table::load(const std::function<bool(SlotWriter &)> &fill)
 {
     for (fs::FileSystem *s : shard_fs_) {
         if (s->exists(file_))
@@ -57,12 +57,13 @@ Table::load(const std::function<bool(Row &)> &next)
         s->create(file_);
     }
 
+    const Bytes row_width = schema_.rowWidth();
     std::vector<std::uint8_t> page(page_size_, 0);
-    Bytes used = 0;
     std::uint64_t page_idx = 0;
+    std::uint64_t in_page = 0;
     row_count_ = 0;
 
-    // Stream rows into page-sized buffers, installing each packed
+    // Fill page-sized buffers slot by slot, installing each packed
     // page directly (zero time, offline population). Global page g
     // lands on shard g % N at local offset g / N: row packing — and
     // thus the logical page sequence — is shard-count invariant.
@@ -74,18 +75,21 @@ Table::load(const std::function<bool(Row &)> &next)
         sfs.device().ftl().install(lpn, page.data(), page_size_);
         ++page_idx;
         std::fill(page.begin(), page.end(), 0);
-        used = 0;
+        in_page = 0;
     };
 
-    Row row;
-    while (next(row)) {
-        if (used + schema_.rowWidth() > page_size_)
-            flushPage();
-        schema_.encodeRow(row, page.data() + used);
-        used += schema_.rowWidth();
+    for (;;) {
+        std::uint8_t *slot = page.data() + in_page * row_width;
+        SlotWriter w(schema_, slot);
+        if (!fill(w)) {
+            std::memset(slot, 0, row_width);
+            break;
+        }
         ++row_count_;
+        if (++in_page == rows_per_page_)
+            flushPage();
     }
-    if (used > 0)
+    if (in_page > 0)
         flushPage();
     page_count_ = page_idx;
 
@@ -108,10 +112,10 @@ void
 Table::loadRows(const std::vector<Row> &rows)
 {
     std::size_t i = 0;
-    load([&](Row &out) {
+    load([&](SlotWriter &w) {
         if (i >= rows.size())
             return false;
-        out = rows[i++];
+        w.values(rows[i++]);
         return true;
     });
 }

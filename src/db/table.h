@@ -110,12 +110,14 @@ class Table
 
     /**
      * Bulk load (zero time, like the paper's offline TPC-H
-     * population). @p next yields one row at a time; returns false at
-     * end of data. Replaces any previous contents.
+     * population). @p fill writes one row straight into its zeroed
+     * page slot through the SlotWriter and returns true, or returns
+     * false at end of data (any bytes it wrote then are cleared).
+     * Replaces any previous contents.
      */
-    void load(const std::function<bool(Row &)> &next);
+    void load(const std::function<bool(SlotWriter &)> &fill);
 
-    /** Convenience bulk load from a materialized vector. */
+    /** load() from a materialized vector (SlotWriter::values()). */
     void loadRows(const std::vector<Row> &rows);
 
     /** Functional row access (zero time; verification only). */

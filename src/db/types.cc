@@ -1,5 +1,6 @@
 #include "db/types.h"
 
+#include <array>
 #include <charconv>
 #include <cstdio>
 #include <cstring>
@@ -44,27 +45,83 @@ civilFromDays(std::int64_t z, std::int64_t &y, unsigned &m, unsigned &d)
     y += (m <= 2);
 }
 
+/** Value of the two digits at @p p, or -1 when either is not one. */
+int
+twoDigits(const char *p)
+{
+    const unsigned a = static_cast<unsigned char>(p[0]) - '0';
+    const unsigned b = static_cast<unsigned char>(p[1]) - '0';
+    return a < 10 && b < 10 ? static_cast<int>(a * 10 + b) : -1;
+}
+
+/** "00" through "99", two characters each. */
+constexpr auto kDigitPairs = [] {
+    std::array<char, 200> t{};
+    for (int i = 0; i < 100; ++i) {
+        t[2 * i] = static_cast<char>('0' + i / 10);
+        t[2 * i + 1] = static_cast<char>('0' + i % 10);
+    }
+    return t;
+}();
+
+/** @p v (below 100) as two decimal digits at @p out. */
+void
+putTwoDigits(char *out, unsigned v)
+{
+    std::memcpy(out, kDigitPairs.data() + 2 * v, 2);
+}
+
 }  // namespace
 
 std::int64_t
-dateToDays(const std::string &date)
+dateToDays(std::string_view date)
 {
-    BISC_ASSERT(date.size() == 10, "bad date: '", date, "'");
-    int y = std::stoi(date.substr(0, 4));
-    int m = std::stoi(date.substr(5, 2));
-    int d = std::stoi(date.substr(8, 2));
-    return daysFromCivil(y, static_cast<unsigned>(m),
-                         static_cast<unsigned>(d));
+    BISC_ASSERT(date.size() == kDateWidth, "bad date: '", date, "'");
+    const char *p = date.data();
+    const int yh = twoDigits(p), yl = twoDigits(p + 2);
+    const int m = twoDigits(p + 5), d = twoDigits(p + 8);
+    if (yh >= 0 && yl >= 0 && m >= 0 && d >= 0) {
+        return daysFromCivil(yh * 100 + yl, static_cast<unsigned>(m),
+                             static_cast<unsigned>(d));
+    }
+    const auto field = [&](std::size_t at, std::size_t n) {
+        return std::stoi(std::string(date.substr(at, n)));
+    };
+    const int year = field(0, 4);
+    const int month = field(5, 2);
+    const int day = field(8, 2);
+    return daysFromCivil(year, static_cast<unsigned>(month),
+                         static_cast<unsigned>(day));
+}
+
+void
+formatDate(std::int64_t days, char *out)
+{
+    std::int64_t y;
+    unsigned m, d;
+    civilFromDays(days, y, m, d);
+    if (y < 0 || y > 9999) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d",
+                      static_cast<int>(y), static_cast<int>(m),
+                      static_cast<int>(d));
+        std::memcpy(out, buf, kDateWidth);
+        return;
+    }
+    putTwoDigits(out, static_cast<unsigned>(y) / 100);
+    putTwoDigits(out + 2, static_cast<unsigned>(y) % 100);
+    out[4] = '-';
+    putTwoDigits(out + 5, m);
+    out[7] = '-';
+    putTwoDigits(out + 8, d);
 }
 
 std::string
 daysToDate(std::int64_t days)
 {
-    std::int64_t y;
-    unsigned m, d;
-    civilFromDays(days, y, m, d);
-    return makeDate(static_cast<int>(y), static_cast<int>(m),
-                    static_cast<int>(d));
+    std::string out(kDateWidth, '\0');
+    formatDate(days, out.data());
+    return out;
 }
 
 std::string
@@ -147,30 +204,26 @@ Schema::indexOf(const std::string &name) const
 void
 Schema::encodeRow(const std::vector<Value> &row, std::uint8_t *out) const
 {
-    BISC_ASSERT(row.size() == columns_.size(), "row arity mismatch");
     std::memset(out, 0, row_width_);
-    for (std::size_t i = 0; i < columns_.size(); ++i) {
-        const Column &c = columns_[i];
-        std::uint8_t *dst = out + offsets_[i];
-        switch (c.type) {
-          case Type::Int64: {
-            auto v = std::get<std::int64_t>(row[i]);
-            std::memcpy(dst, &v, 8);
+    SlotWriter(*this, out).values(row);
+}
+
+void
+SlotWriter::values(const Row &row)
+{
+    BISC_ASSERT(row.size() == schema_.size(), "row arity mismatch");
+    for (std::size_t i = 0; i < row.size(); ++i) {
+        switch (schema_.at(i).type) {
+          case Type::Int64:
+            i64(i, std::get<std::int64_t>(row[i]));
             break;
-          }
-          case Type::Double: {
-            auto v = std::get<double>(row[i]);
-            std::memcpy(dst, &v, 8);
+          case Type::Double:
+            f64(i, std::get<double>(row[i]));
             break;
-          }
           case Type::String:
-          case Type::Date: {
-            const auto &s = std::get<std::string>(row[i]);
-            std::size_t n =
-                std::min<std::size_t>(s.size(), c.width);
-            std::memcpy(dst, s.data(), n);
+          case Type::Date:
+            text(i, std::get<std::string>(row[i]));
             break;
-          }
         }
     }
 }

@@ -12,6 +12,7 @@
 #ifndef BISCUIT_DB_TYPES_H_
 #define BISCUIT_DB_TYPES_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -76,10 +77,24 @@ textOf(const char *p, std::size_t width)
 /** Build a zero-padded date string. */
 std::string makeDate(int year, int month, int day);
 
-/** Days since 1970-01-01 for a date string (civil calendar). */
-std::int64_t dateToDays(const std::string &date);
+/**
+ * Days since 1970-01-01 for a "YYYY-MM-DD" date (civil calendar).
+ * The separators are not checked. Eight digits parse in place; any
+ * other 10-byte text takes std::stoi of each field (leading digits,
+ * sign, whitespace; throws when a field has none).
+ */
+std::int64_t dateToDays(std::string_view date);
 
-/** Inverse of dateToDays. */
+/** Bytes of a formatted date. */
+constexpr std::size_t kDateWidth = 10;
+
+/**
+ * Inverse of dateToDays, written into @p out: the first kDateWidth
+ * bytes of "%04d-%02d-%02d", so years outside 0..9999 truncate.
+ */
+void formatDate(std::int64_t days, char *out);
+
+/** formatDate() as a string. */
 std::string daysToDate(std::int64_t days);
 
 /** Add @p days to a date string. */
@@ -148,7 +163,10 @@ class Schema
     /** Total fixed row width. */
     Bytes rowWidth() const { return row_width_; }
 
-    /** Encode @p row into @p out (rowWidth() bytes). */
+    /**
+     * Encode @p row into @p out (rowWidth() bytes): zero the slot,
+     * then SlotWriter::values().
+     */
     void encodeRow(const std::vector<Value> &row,
                    std::uint8_t *out) const;
 
@@ -171,6 +189,67 @@ class Schema
 };
 
 using Row = std::vector<Value>;
+
+/**
+ * Typed writes into one zeroed row slot of @p schema: the only way
+ * rows are encoded. Each setter checks the column's type and writes
+ * its bytes in place; nothing is allocated.
+ */
+class SlotWriter
+{
+  public:
+    SlotWriter(const Schema &schema, std::uint8_t *slot)
+        : schema_(schema), slot_(slot)
+    {}
+
+    void
+    i64(std::size_t c, std::int64_t v)
+    {
+        std::memcpy(at(c, Type::Int64), &v, 8);
+    }
+
+    void
+    f64(std::size_t c, double v)
+    {
+        std::memcpy(at(c, Type::Double), &v, 8);
+    }
+
+    /**
+     * Text of a String or Date column, truncated at the column width;
+     * shorter text leaves the slot's zero padding.
+     */
+    void
+    text(std::size_t c, std::string_view v)
+    {
+        const Column &col = schema_.at(c);
+        BISC_ASSERT(col.type == Type::String || col.type == Type::Date,
+                    "column '", col.name, "' is not text");
+        std::memcpy(slot_ + schema_.offsetOf(c), v.data(),
+                    std::min<std::size_t>(v.size(), col.width));
+    }
+
+    /** formatDate(@p days) into a Date column. */
+    void
+    date(std::size_t c, std::int64_t days)
+    {
+        formatDate(days, reinterpret_cast<char *>(at(c, Type::Date)));
+    }
+
+    /** Every column of @p row, by its Value alternative. */
+    void values(const Row &row);
+
+  private:
+    std::uint8_t *
+    at(std::size_t c, Type t)
+    {
+        BISC_ASSERT(schema_.at(c).type == t, "column '",
+                    schema_.at(c).name, "' has another type");
+        return slot_ + schema_.offsetOf(c);
+    }
+
+    const Schema &schema_;
+    std::uint8_t *slot_;
+};
 
 }  // namespace bisc::db
 

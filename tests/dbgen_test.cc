@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "db/minidb.h"
 #include "host/host_system.h"
@@ -201,6 +203,103 @@ TEST_F(DbgenTest, GenerationIsDeterministic)
                       db::valueToString(rb[c]))
                 << "row " << i << " col " << c;
     }
+}
+
+// ----- Generated-bytes pin -----
+//
+// Every page of every TPC-H table, hashed in global page order, at SF
+// 0.01 for two seeds and two drive counts. The constants were recorded
+// from the generator before it wrote page slots directly; they pin the
+// exact bytes, and with them the RNG draw order, including the draws
+// whose relative order C++ leaves unspecified (the two rng.below()
+// calls among phoneFor's snprintf arguments and the operator+ chains
+// building p_name and p_type). Page content is drive-count invariant,
+// so one set of constants serves both drive counts.
+
+struct TablePin
+{
+    const char *table;
+    std::uint64_t rows;
+    std::uint64_t pages_hash;
+};
+
+std::uint64_t
+hashTablePages(const db::Table &t)
+{
+    std::uint64_t h = 1469598103934665603ULL;  // FNV-1a 64 offset
+    std::vector<std::uint8_t> page(t.pageSize());
+    for (std::uint64_t p = 0; p < t.pageCount(); ++p) {
+        t.shardFs(t.shardOf(p))
+            .peek(t.file(), t.localPage(p) * t.pageSize(),
+                  t.pageSize(), page.data());
+        for (std::uint8_t b : page) {
+            h ^= b;
+            h *= 1099511628211ULL;
+        }
+    }
+    return h;
+}
+
+void
+expectPinned(std::uint64_t seed, std::uint32_t drives,
+             const std::vector<TablePin> &pins)
+{
+    sisc::Env env(ssd::defaultConfig(), drives);
+    host::HostSystem host(env.array);
+    db::MiniDb db(env, host);
+    TpchConfig cfg;
+    cfg.scale_factor = 0.01;
+    cfg.seed = seed;
+    buildTpch(db, cfg);
+    ASSERT_EQ(db.tableNames().size(), pins.size());
+    for (const TablePin &pin : pins) {
+        const db::Table &t = db.table(pin.table);
+        EXPECT_EQ(t.rowCount(), pin.rows) << pin.table;
+        EXPECT_EQ(hashTablePages(t), pin.pages_hash)
+            << pin.table << " seed " << seed << " drives " << drives;
+    }
+}
+
+const std::vector<TablePin> kDefaultSeedPins = {
+    {"customer", 1500, 0x900981586ec7f6b3ULL},
+    {"lineitem", 59787, 0x74a41c12d59cbb96ULL},
+    {"nation", 25, 0x14bebee53b9a22c9ULL},
+    {"orders", 15000, 0xeb77cc3000d6c9cfULL},
+    {"part", 2000, 0xcf381f91d64ce1b6ULL},
+    {"partsupp", 8000, 0xc770ce47469e7697ULL},
+    {"region", 5, 0x72463dcecf241682ULL},
+    {"supplier", 100, 0x25fd47ea0af99e44ULL},
+};
+
+const std::vector<TablePin> kSeed7Pins = {
+    {"customer", 1500, 0x99e2dcf36f14d9b3ULL},
+    {"lineitem", 60322, 0x402cab9234499838ULL},
+    {"nation", 25, 0x14bebee53b9a22c9ULL},
+    {"orders", 15000, 0xcdfa53ad57911a73ULL},
+    {"part", 2000, 0xca85b7e571a23ee6ULL},
+    {"partsupp", 8000, 0xb6005b49922fcf4bULL},
+    {"region", 5, 0x2701636800f4b6abULL},
+    {"supplier", 100, 0xbb7a8c41e30d86abULL},
+};
+
+TEST(DbgenPin, DefaultSeedOneDrive)
+{
+    expectPinned(TpchConfig{}.seed, 1, kDefaultSeedPins);
+}
+
+TEST(DbgenPin, DefaultSeedFourDrives)
+{
+    expectPinned(TpchConfig{}.seed, 4, kDefaultSeedPins);
+}
+
+TEST(DbgenPin, Seed7OneDrive)
+{
+    expectPinned(7, 1, kSeed7Pins);
+}
+
+TEST(DbgenPin, Seed7FourDrives)
+{
+    expectPinned(7, 4, kSeed7Pins);
 }
 
 }  // namespace
